@@ -16,7 +16,8 @@ type outcome = {
   attempted : int;
   failed : int;
   checks_ok : bool;  (** checks that belong to no single op *)
-  e2e : metric list;
+  e2e : metric list;  (** over the untraced ops and set-ups *)
+  traced_e2e : metric list;  (** over the traced ones; empty unless traced *)
   layers : metric list;  (** empty unless the run was traced *)
   notes : string list;  (** human-readable lines printed before the result *)
 }
@@ -76,23 +77,6 @@ let peak_rss_mb () =
     | exception End_of_file -> 0.0
   in
   loop ()
-
-(* [setup_s] is the median time of several full set-ups.  This host's
-   speed drifts over seconds, so the set-ups are split between the start
-   of the run and the end of the timed phase, and the median does not
-   rest on one stretch of time.  [setups ~times] runs [times] of them
-   and returns the last state (the others are torn down by [discard])
-   with every duration. *)
-let setups ~times ~setup ~discard =
-  let rec go k acc =
-    let st, s = timed setup in
-    if k = 1 then (st, s :: acc)
-    else begin
-      discard st;
-      go (k - 1) (s :: acc)
-    end
-  in
-  go times []
 
 (* The end-to-end metrics shared by every workload.  [op_ms] holds the
    latencies of verified ops only; [wall_s] is the timed phase;

@@ -13,13 +13,17 @@ type setup = { ops : Inputs.cold_input array; jobs : Pipeline.job array; warmed 
 (* Set-up: generate the inputs, then compile the warm-up inputs (not
    part of the timed set) once. *)
 let setup ~seed () =
-  let ops, warmup = Inputs.compile_cold ~seed in
-  let jobs = Array.map Inputs.cold_job ops in
+  let ops, jobs, warmup =
+    Spans.with_span "setup.inputs" (fun () ->
+      let ops, warmup = Inputs.compile_cold ~seed in
+      (ops, Array.map Inputs.cold_job ops, warmup))
+  in
   let warmed =
-    List.length
-      (List.filter
-         (fun i -> Result.is_ok (Pipeline.compile (Inputs.cold_job i)))
-         warmup)
+    Spans.with_span "setup.warmup" (fun () ->
+      List.length
+        (List.filter
+           (fun i -> Result.is_ok (Pipeline.compile (Inputs.cold_job i)))
+           warmup))
   in
   { ops; jobs; warmed }
 
@@ -73,81 +77,97 @@ let moved_words compiled =
       | _ -> acc)
     0.0 compiled
 
-(* What an op produced: the pipeline's compilation, or in a traced run
-   the staged stage-by-stage result. *)
-type output = Compiled of Pipeline.compiled | Staged of Stages.staged
+(* One kind of op of a run: an untraced op compiles through
+   [Pipeline.compile]; a traced op calls the stage functions one by one
+   inside spans, with the library's profiler on.  Each input's first
+   output of a kind is kept; every repeat must reproduce it. *)
+type 'a side = {
+  first : 'a option array;
+  lat : float list array;  (** ms per input *)
+  mutable wall : float;  (** summed op intervals, s *)
+  mutable ops : int;
+}
 
-let same_output a b =
-  match (a, b) with
-  | Compiled a, Compiled b ->
-    Stages.same a.Pipeline.plan b.Pipeline.plan
-    && Stages.same a.Pipeline.tiled b.Pipeline.tiled
-  | Staged a, Staged b -> Stages.same a b
-  | _ -> false
+let side n = { first = Array.make n None; lat = Array.make n []; wall = 0.0; ops = 0 }
+
+let record sd bad ~same i r dt =
+  sd.wall <- sd.wall +. dt;
+  sd.ops <- sd.ops + 1;
+  match r with
+  | Error _ -> bad.(i) <- true
+  | Ok out -> (
+    sd.lat.(i) <- (dt *. 1000.0) :: sd.lat.(i);
+    match sd.first.(i) with
+    | None -> sd.first.(i) <- Some out
+    | Some f -> if not (same f out) then bad.(i) <- true)
+
+let verified_ms sd bad =
+  List.concat (List.filteri (fun i _ -> not bad.(i)) (Array.to_list sd.lat))
 
 let run ~seed ~seconds ~traced =
-  let s, before = setups ~times:3 ~setup:(setup ~seed) ~discard:ignore in
-  let n = Array.length s.ops in
-  let compile job =
-    if traced then Result.map (fun st -> Staged st) (Stages.compile job)
-    else
-      Result.map (fun c -> Compiled c)
-        (Result.map_error Frontend.error_message (Pipeline.compile job))
-  in
-  (* first output of each input; every repeat must reproduce it *)
-  let first = Array.make n None in
-  let bad = Array.make n false in
-  let lat = Array.make n [] in
-  let attempted = ref 0 in
-  let wall = ref 0.0 in
-  let pass_solver = ref Stages.no_solver in
   Spans.reset ();
-  Spans.on := traced;
-  if traced then begin
-    Emsc_obs.Prof.reset ();
-    Emsc_obs.Prof.enable ()
-  end;
+  let s, before_u, before_t =
+    Spans.setups ~times:4 ~traced ~setup:(setup ~seed) ~discard:ignore
+  in
+  let n = Array.length s.ops in
+  (* The timed phase runs whole passes over the op set, so every input
+     weighs the same in every run.  A traced run alternates traced and
+     untraced ops in one timed phase, flipping the parity each pass:
+     host drift then hits both kinds alike, and after two passes every
+     input has been compiled both ways. *)
+  let passes = if traced then 2 else 1 in
+  let traced_op k = traced && ((k mod n) + (k / n)) mod 2 = 1 in
+  let bad = Array.make n false in
+  let plain = side n and staged = side n in
+  let pass_solver = ref Stages.no_solver in
+  Emsc_obs.Prof.reset ();
+  (* the timed phase starts from a collected heap, so the set-ups'
+     garbage is not collected during the first ops *)
+  Gc.full_major ();
   let deadline = now () +. seconds in
-  (* at least one whole pass, so every input is compiled and verified *)
-  while now () < deadline || !attempted < n do
-    let i = !attempted mod n in
-    Spans.set_op !attempted;
-    let r, dt = timed (fun () -> compile s.jobs.(i)) in
-    wall := !wall +. dt;
-    (match r with
-     | Error _ -> bad.(i) <- true
-     | Ok out -> (
-       lat.(i) <- (dt *. 1000.0) :: lat.(i);
-       match first.(i) with
-       | None -> first.(i) <- Some out
-       | Some f -> if not (same_output f out) then bad.(i) <- true));
-    incr attempted;
-    if traced && !attempted = n then
+  let k = ref 0 in
+  while !k < passes * n || now () < deadline || !k mod n <> 0 do
+    let i = !k mod n in
+    if traced_op !k then begin
+      Spans.set_op !k;
+      Spans.on := true;
+      Emsc_obs.Prof.enable ();
+      let r, dt = timed (fun () -> Stages.compile s.jobs.(i)) in
+      Emsc_obs.Prof.disable ();
+      Spans.on := false;
+      record staged bad ~same:Stages.same i r dt
+    end
+    else begin
+      let r, dt = timed (fun () -> Pipeline.compile s.jobs.(i)) in
+      record plain bad i r dt ~same:(fun (a : Pipeline.compiled) b ->
+        Stages.same a.Pipeline.plan b.Pipeline.plan
+        && Stages.same a.Pipeline.tiled b.Pipeline.tiled)
+    end;
+    incr k;
+    (* the first two passes trace every input exactly once *)
+    if traced && !k = 2 * n then
       pass_solver := Stages.solver_of_profile (Emsc_obs.Prof.snapshot ())
   done;
   let peak_rss_mb = peak_rss_mb () in
-  let spans = Spans.all () in
-  Spans.on := false;
+  let trace_mb = Spans.retained_mb () in
   let all_solver =
     if traced then Stages.solver_of_profile (Emsc_obs.Prof.snapshot ())
     else Stages.no_solver
   in
-  Emsc_obs.Prof.disable ();
-  let _, after = setups ~times:4 ~setup:(setup ~seed) ~discard:ignore in
-  let setup_s = median (before @ after) in
-  (* verification, outside the timed phase: a traced run's staged
-     output must equal the pipeline's *)
+  let _, after_u, after_t =
+    Spans.setups ~times:5 ~traced ~setup:(setup ~seed) ~discard:ignore
+  in
+  let spans = Spans.all () in
+  (* verification, outside the timed phase: every input's pipeline
+     output is executed and checked, and a traced op's staged output
+     must equal it *)
   let compiled =
     Array.mapi
-      (fun i out ->
-        match out with
-        | Some (Compiled c) -> Some c
-        | Some (Staged st) -> (
-          match Pipeline.compile s.jobs.(i) with
-          | Ok c when Stages.agrees st c -> Some c
-          | _ -> None)
-        | None -> None)
-      first
+      (fun i c ->
+        match c, staged.first.(i) with
+        | Some c, Some st when not (Stages.agrees st c) -> None
+        | c, _ -> c)
+      plain.first
   in
   Array.iteri
     (fun i c ->
@@ -160,10 +180,6 @@ let run ~seed ~seconds ~traced =
           bad.(i) <- true;
           prerr_endline (Printf.sprintf "compile-cold: input %d: %s" i m)))
     compiled;
-  let op_ms =
-    List.concat (List.filteri (fun i _ -> not bad.(i)) (Array.to_list lat))
-  in
-  let verified = List.length op_ms in
   let code_size, buffers =
     Array.fold_left
       (fun (cs, bs) c ->
@@ -172,24 +188,37 @@ let run ~seed ~seconds ~traced =
         | None -> (cs, bs))
       (0, 0) compiled
   in
-  let e2e =
-    e2e ~setup_s ~op_ms ~wall_s:!wall ~peak_rss_mb ~code_size ~moved_words:(moved_words compiled)
+  let moved_words = moved_words compiled in
+  (* the outputs of both kinds are the same verified compilations, so
+     code size and moved words are too *)
+  let side_e2e sd setup_s ~peak_rss_mb =
+    e2e ~setup_s ~op_ms:(verified_ms sd bad) ~wall_s:sd.wall ~peak_rss_mb ~code_size
+      ~moved_words
+  in
+  let e2e = side_e2e plain (median (before_u @ after_u)) ~peak_rss_mb in
+  let traced_e2e =
+    if traced then
+      side_e2e staged (median (before_t @ after_t)) ~peak_rss_mb:(peak_rss_mb +. trace_mb)
+    else []
   in
   let layers =
     if not traced then []
     else
-      Stages.compile_layers ~compiles:!attempted ~spans
+      Stages.compile_layers ~compiles:staged.ops ~spans
         ~solver:{ !pass_solver with simplex_self_ms = all_solver.simplex_self_ms }
         ~per_pass_buffers:buffers
   in
   if traced then Spans.write (Filename.concat (scratch_dir ()) "trace-compile-cold.json") spans;
+  let attempted = plain.ops + staged.ops in
+  let verified = List.length (verified_ms plain bad) + List.length (verified_ms staged bad) in
   let tiled = Array.fold_left (fun a i -> if Inputs.is_tiled i then a + 1 else a) 0 s.ops in
-  { attempted = !attempted;
-    failed = !attempted - verified;
+  { attempted;
+    failed = attempted - verified;
     checks_ok = true;
     e2e;
+    traced_e2e;
     layers;
     notes =
-      [ Printf.sprintf "compile-cold: %d inputs (%d tiled), %d ops, %d warm-up compiles"
-          n tiled !attempted s.warmed;
-        tail_note ~n:verified op_ms ] }
+      [ Printf.sprintf "compile-cold: %d inputs (%d tiled), %d ops in %d passes (%d traced), %d warm-up compiles"
+          n tiled attempted (attempted / n) staged.ops s.warmed;
+        tail_note ~n:(List.length (verified_ms plain bad)) (verified_ms plain bad) ] }

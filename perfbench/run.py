@@ -26,7 +26,7 @@ def main():
         sys.stderr.write("perfbench: no dune-project here; run from the repository root\n")
         return 2
     build = subprocess.run(
-        ["dune", "build", "--root", ".", "./perfbench/bench.exe"],
+        ["dune", "build", "--root", ".", "--profile", "perfbench", "./perfbench/bench.exe"],
         cwd=root,
         env=env,
         stdout=subprocess.PIPE,

@@ -38,14 +38,15 @@ let arrays_equal expected mem =
 let setup ~seed ~compile () =
   Array.map
     (fun k ->
-      match compile (Inputs.kernel_job k) with
+      match Spans.with_span "setup.compile" (fun () -> compile (Inputs.kernel_job k)) with
       | Error m -> failwith (Printf.sprintf "run-kernels: %s: %s" k.Inputs.name m)
       | Ok compiled ->
-        let mem, _ =
-          Runner.reference ~memory:(Inputs.memory ~seed compiled.Pipeline.prog)
-            compiled.Pipeline.prog
-        in
-        { k; compiled; ref_arrays = arrays_of compiled mem })
+        Spans.with_span "setup.reference" (fun () ->
+          let mem, _ =
+            Runner.reference ~memory:(Inputs.memory ~seed compiled.Pipeline.prog)
+              compiled.Pipeline.prog
+          in
+          { k; compiled; ref_arrays = arrays_of compiled mem }))
     Inputs.rotation_kernels
 
 (* Parallel ops double-buffer, so the runtime's DMA channels carry the
@@ -81,27 +82,44 @@ let staged_pass ks =
   Spans.on := false;
   (agree, Spans.all (), solver)
 
+(* The process's resident set grows with the ops run (about 40 KB an
+   op, though the OCaml heap's live data does not), so [peak_rss_mb] is
+   read once this many ops have run (or when the timed phase ends, if
+   sooner): the same work in every run, however fast the host is. *)
+let rss_ops = 250
+
 let run ~seed ~seconds ~traced =
-  let ks, before = setups ~times:2 ~setup:(setup ~seed ~compile) ~discard:ignore in
   Spans.reset ();
-  Spans.on := traced;
+  let ks, before_u, before_t =
+    Spans.setups ~times:3 ~traced ~setup:(setup ~seed ~compile) ~discard:ignore
+  in
   let rot = Inputs.rotation in
   let nrot = Array.length rot in
-  let ops = ref [] and attempted = ref 0 in
-  let wall = ref 0.0 in
+  (* A traced run alternates traced and untraced turns of the whole
+     rotation in one timed phase, so host drift hits both kinds alike
+     and each kind runs every pair equally often. *)
+  let turns = if traced then 2 else 1 in
+  let traced_op j = traced && (j / nrot) mod 2 = 1 in
+  let ops = ref [] in
+  let wall_u = ref 0.0 and wall_t = ref 0.0 in
   let par_reports = ref [] in
+  (* the timed phase starts from a collected heap, so the set-ups'
+     garbage is not collected during the first ops *)
+  Gc.full_major ();
   let deadline = now () +. seconds in
   let j = ref 0 in
-  while now () < deadline || !j < nrot do
+  let rss_at = ref None in
+  while !j < turns * nrot || now () < deadline || !j mod nrot <> 0 do
     let ki, backend = rot.(!j mod nrot) in
     let kr = ks.(ki) in
-    incr attempted;
+    let tr = traced_op !j in
     Spans.set_op !j;
+    Spans.on := tr;
     let (mem, res), dt =
       timed (fun () ->
         Spans.with_span (backend_name backend) (fun () ->
           match backend with
-          | `Par _ when traced ->
+          | `Par _ when tr ->
             let r, report =
               Runner.with_runtime_report (fun () -> simulate ~seed backend kr.compiled)
             in
@@ -109,16 +127,20 @@ let run ~seed ~seconds ~traced =
             r
           | _ -> simulate ~seed backend kr.compiled))
     in
-    wall := !wall +. dt;
+    Spans.on := false;
+    if tr then wall_t := !wall_t +. dt else wall_u := !wall_u +. dt;
     (* the arrays are compared outside the op's interval *)
-    ops := (ki, totals_key res.Exec.totals, arrays_equal kr.ref_arrays mem, dt) :: !ops;
-    incr j
+    ops := (ki, tr, totals_key res.Exec.totals, arrays_equal kr.ref_arrays mem, dt) :: !ops;
+    incr j;
+    if !j = rss_ops then rss_at := Some (peak_rss_mb ())
   done;
-  let peak_rss_mb = peak_rss_mb () in
-  let op_spans = Spans.all () in
-  Spans.on := false;
-  let _, after = setups ~times:1 ~setup:(setup ~seed ~compile) ~discard:ignore in
-  let setup_s = median (before @ after) in
+  let peak_rss_mb = match !rss_at with Some v -> v | None -> peak_rss_mb () in
+  let trace_mb = Spans.retained_mb () in
+  let _, after_u, after_t =
+    Spans.setups ~times:2 ~traced ~setup:(setup ~seed ~compile) ~discard:ignore
+  in
+  let op_spans = List.filter (fun (s : Spans.span) -> s.Spans.op >= 0) (Spans.all ()) in
+  let setup_spans = List.filter (fun (s : Spans.span) -> s.Spans.op < 0) (Spans.all ()) in
   (* verification: one sequential and one parallel run of each kernel
      must give identical counter totals, and each op must reproduce them *)
   let expected =
@@ -132,11 +154,11 @@ let run ~seed ~seconds ~traced =
         (agree, totals_key s.Exec.totals, s.Exec.totals, seq_s, par_s))
       ks
   in
-  let op_ms =
+  let op_ms ~traced:want =
     List.filter_map
-      (fun (ki, key, arrays_ok, dt) ->
+      (fun (ki, tr, key, arrays_ok, dt) ->
         let agree, k, _, _, _ = expected.(ki) in
-        if arrays_ok && agree && key = k then Some (dt *. 1000.0) else None)
+        if tr = want && arrays_ok && agree && key = k then Some (dt *. 1000.0) else None)
       !ops
   in
   let moved =
@@ -145,7 +167,15 @@ let run ~seed ~seconds ~traced =
   let code_size =
     Array.fold_left (fun n kr -> n + Stages.code_size kr.compiled) 0 ks
   in
-  let e2e = e2e ~setup_s ~op_ms ~wall_s:!wall ~peak_rss_mb ~code_size ~moved_words:moved in
+  let side ~traced:tr setup_s wall_s peak_rss_mb =
+    e2e ~setup_s ~op_ms:(op_ms ~traced:tr) ~wall_s ~peak_rss_mb ~code_size ~moved_words:moved
+  in
+  let e2e = side ~traced:false (median (before_u @ after_u)) !wall_u peak_rss_mb in
+  let traced_e2e =
+    if traced then
+      side ~traced:true (median (before_t @ after_t)) !wall_t (peak_rss_mb +. trace_mb)
+    else []
+  in
   let staged = if traced then Some (staged_pass ks) else None in
   let layers =
     match staged with
@@ -227,15 +257,16 @@ let run ~seed ~seconds ~traced =
   Option.iter
     (fun (_, compile_spans, _) ->
       Spans.write (Filename.concat (scratch_dir ()) "trace-run-kernels.json")
-        (compile_spans @ op_spans))
+        (setup_spans @ op_spans @ compile_spans))
     staged;
-  let verified = List.length op_ms in
-  { attempted = !attempted;
-    failed = !attempted - verified;
+  let verified = List.length (op_ms ~traced:false) + List.length (op_ms ~traced:true) in
+  { attempted = !j;
+    failed = !j - verified;
     checks_ok = (match staged with Some (agree, _, _) -> agree | None -> true);
     e2e;
+    traced_e2e;
     layers;
     notes =
-      [ Printf.sprintf "run-kernels: %d kernels, rotation of %d (kernel, backend) pairs, %d ops"
-          (Array.length ks) nrot !attempted;
-        tail_note ~n:verified op_ms ] }
+      [ Printf.sprintf "run-kernels: %d kernels, rotation of %d (kernel, backend) pairs, %d ops (%d traced)"
+          (Array.length ks) nrot !j (List.length (List.filter (fun (_, tr, _, _, _) -> tr) !ops));
+        tail_note ~n:(List.length (op_ms ~traced:false)) (op_ms ~traced:false) ] }

@@ -99,18 +99,22 @@ let boot ~hot () =
   remove_tree dir;
   Unix.mkdir dir 0o755;
   let sock = Filename.concat base (Printf.sprintf "s%d-%d.sock" (Unix.getpid ()) !boots) in
-  let cache = Cache.create ~dir:(Filename.concat dir "cache") ~max_entries:cache_entries () in
-  let cfg = Emsc_serve.Server.config ~cache ~default_machine (`Unix sock) in
-  let server = Domain.spawn (fun () -> Emsc_serve.Server.run cfg) in
-  let conns = [| connect sock; connect sock |] in
+  let cache, server =
+    Spans.with_span "setup.boot" (fun () ->
+      let cache = Cache.create ~dir:(Filename.concat dir "cache") ~max_entries:cache_entries () in
+      let cfg = Emsc_serve.Server.config ~cache ~default_machine (`Unix sock) in
+      (cache, Domain.spawn (fun () -> Emsc_serve.Server.run cfg)))
+  in
+  let conns = Spans.with_span "setup.connect" (fun () -> [| connect sock; connect sock |]) in
   let prefilled = ref 0 in
-  Array.iteri
-    (fun i k ->
-      send conns.(0) (request_line ~id:(Printf.sprintf "h%d" i) k);
-      match Emsc_serve.Client.parse_response (recv_line conns.(0)) with
-      | Ok r when r.Emsc_serve.Client.ok -> incr prefilled
-      | _ -> ())
-    hot;
+  Spans.with_span "setup.prefill" (fun () ->
+    Array.iteri
+      (fun i k ->
+        send conns.(0) (request_line ~id:(Printf.sprintf "h%d" i) k);
+        match Emsc_serve.Client.parse_response (recv_line conns.(0)) with
+        | Ok r when r.Emsc_serve.Client.ok -> incr prefilled
+        | _ -> ())
+      hot);
   { dir; sock; cache; server; conns; prefilled = !prefilled }
 
 let shutdown d =
@@ -125,6 +129,7 @@ let shutdown d =
 
 type record = {
   slot : int;
+  traced : bool;
   cold : int option;  (** index of the cold text *)
   rt_ms : float;
   t_sent : float;
@@ -192,13 +197,16 @@ let par_map f items =
 
 let run ~seed ~seconds ~traced =
   let hot = Inputs.hot_set in
-  let d, before = setups ~times:2 ~setup:(boot ~hot) ~discard:shutdown in
+  Spans.reset ();
+  let d, before_u, before_t = Spans.setups ~times:2 ~traced ~setup:(boot ~hot) ~discard:shutdown in
   let cold_of_slot = Inputs.serve_schedule ~seed ~hot:(Array.length hot) in
   let hot_lines = Array.mapi (fun i k -> request_line ~id:(Printf.sprintf "h%d" i) k) hot in
   let cold_texts = ref [] and ncold = ref 0 in
   let c0 = Cache.(hot_hits d.cache, disk_hits d.cache, misses d.cache, stores d.cache, evictions d.cache) in
-  Spans.reset ();
-  Spans.on := traced;
+  (* A traced run records a span for the requests of every other block
+     of [Inputs.cold_every] slots (one cold request each), and the two
+     kinds are measured in the same stretch of time. *)
+  let traced_slot i = traced && i / Inputs.cold_every mod 2 = 1 in
   let records = ref [] in
   let slot = ref 0 in
   let outstanding = Array.make 2 (-1, None, 0.0) in
@@ -218,6 +226,9 @@ let run ~seed ~seconds ~traced =
     outstanding.(ci) <- (i, cold_ix, now ());
     send d.conns.(ci) line
   in
+  (* the timed phase starts from a collected heap, so the set-ups'
+     garbage is not collected during the first ops *)
+  Gc.full_major ();
   let t_start = now () in
   let deadline = t_start +. seconds in
   send_next 0;
@@ -230,19 +241,22 @@ let run ~seed ~seconds ~traced =
     let i, cold, t_sent = outstanding.(ci) in
     if t < deadline then send_next ci else live.(ci) <- false;
     let id = match cold with Some k -> Printf.sprintf "c%d" k | None -> Printf.sprintf "h%d" (snd (cold_of_slot i)) in
+    let tr = traced_slot i in
+    let failed = { slot = i; traced = tr; cold; rt_ms = 0.0; t_sent; ok = false; digest = "";
+                   misses = 0; queue_ms = nan; exec_ms = nan } in
     let r =
       match split_response ~id raw with
       | Some (result, server) -> (
         match J.of_string server with
         | Ok sj ->
-          { slot = i; cold; rt_ms = (t -. t_sent) *. 1000.0; t_sent; ok = true;
+          { slot = i; traced = tr; cold; rt_ms = (t -. t_sent) *. 1000.0; t_sent; ok = true;
             digest = Digest.string result;
             misses = int_of_float (num sj "cache_misses");
             queue_ms = num sj "queue_ms"; exec_ms = num sj "exec_ms" }
-        | Error _ -> { slot = i; cold; rt_ms = 0.0; t_sent; ok = false; digest = ""; misses = 0; queue_ms = nan; exec_ms = nan })
-      | None -> { slot = i; cold; rt_ms = 0.0; t_sent; ok = false; digest = ""; misses = 0; queue_ms = nan; exec_ms = nan }
+        | Error _ -> failed)
+      | None -> failed
     in
-    if traced then ignore (Spans.add ~op:i ~parent:(-1) "serve.roundtrip" t_sent t);
+    if tr then ignore (Spans.add ~op:i ~parent:(-1) "serve.roundtrip" t_sent t);
     records := r :: !records
   in
   while live.(0) || live.(1) do
@@ -259,13 +273,12 @@ let run ~seed ~seconds ~traced =
   done;
   let wall = !t_end -. t_start in
   let peak_rss_mb = peak_rss_mb () in
+  let trace_mb = Spans.retained_mb () in
   let c1 = Cache.(hot_hits d.cache, disk_hits d.cache, misses d.cache, stores d.cache, evictions d.cache) in
-  let spans = Spans.all () in
-  Spans.on := false;
   shutdown d;
-  let again, after = setups ~times:1 ~setup:(boot ~hot) ~discard:ignore in
+  let again, after_u, after_t = Spans.setups ~times:1 ~traced ~setup:(boot ~hot) ~discard:ignore in
   shutdown again;
-  let setup_s = median (before @ after) in
+  let spans = Spans.all () in
   (* verification: every result byte-equal to a direct compile of the
      job the daemon builds for that request *)
   let hot_expected = par_map expected_digest (Array.to_list hot) in
@@ -283,7 +296,6 @@ let run ~seed ~seconds ~traced =
     want = Some r.digest
   in
   let good = List.filter verified !records in
-  let op_ms = List.map (fun r -> r.rt_ms) good in
   (* code size and movement of the hot set, compiled once directly *)
   let hot_compiled =
     Array.to_list hot
@@ -301,15 +313,35 @@ let run ~seed ~seconds ~traced =
         acc +. Emsc_machine.Exec.total_global r.Emsc_machine.Exec.totals)
       0.0 hot_compiled
   in
-  let e2e = e2e ~setup_s ~op_ms ~wall_s:wall ~peak_rss_mb ~code_size ~moved_words in
+  (* In a traced run the two kinds share the timed wall; each kind's
+     throughput is then its verified requests over its requests' summed
+     round trips spread over the two connections (Little's law). *)
+  let side ~traced:tr setup_s peak_rss_mb =
+    let mine = List.filter (fun r -> r.traced = tr) !records in
+    let wall_s =
+      if traced then List.fold_left (fun a r -> a +. r.rt_ms) 0.0 mine /. 2000.0 else wall
+    in
+    e2e ~setup_s
+      ~op_ms:(List.filter_map (fun r -> if verified r then Some r.rt_ms else None) mine)
+      ~wall_s ~peak_rss_mb ~code_size ~moved_words
+  in
+  let e2e = side ~traced:false (median (before_u @ after_u)) peak_rss_mb in
+  let traced_e2e =
+    if traced then side ~traced:true (median (before_t @ after_t)) (peak_rss_mb +. trace_mb)
+    else []
+  in
+  let op_ms = List.filter_map (fun r -> if r.traced then None else Some r.rt_ms) good in
   let staged_ok = ref 0 in
-  let sample_size = Array.length hot + min 8 (List.length colds) in
+  (* The compile layers are measured on the hot set and eight cold
+     matmuls of the family the run serves, at the sizes seed 0 would
+     use: the served cold sizes follow the seed, and the solver counts
+     must not. *)
+  let sample = Array.to_list hot @ List.init 8 (Inputs.cold_kernel ~seed:0) in
+  let sample_size = List.length sample in
   let layers =
     if not traced then []
     else begin
-      (* compile layers over the hot set and the first cold texts,
-         staged, checked against the daemon's digests *)
-      let sample = Array.to_list hot @ List.filteri (fun i _ -> i < 8) colds in
+      (* each staged compile must agree with [Pipeline.compile] *)
       Spans.reset ();
       Spans.on := true;
       Emsc_obs.Prof.reset ();
@@ -317,7 +349,7 @@ let run ~seed ~seconds ~traced =
       staged_ok := 0;
       List.iteri
         (fun i k ->
-          Spans.set_op i;
+          Spans.set_op (!slot + i);
           match
             Emsc_serve.Server.job_of_request ~default_machine ~name:k.Inputs.name
               ~text:k.Inputs.text (options_of k)
@@ -361,6 +393,7 @@ let run ~seed ~seconds ~traced =
     failed = n - List.length good;
     checks_ok = (not traced) || !staged_ok = sample_size;
     e2e;
+    traced_e2e;
     layers;
     notes =
       [ Printf.sprintf

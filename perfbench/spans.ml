@@ -5,7 +5,7 @@
 type span = {
   id : int;
   parent : int;  (** [-1] for a root span *)
-  op : int;  (** spans of one op share this id *)
+  op : int;  (** spans of one op share this id; [-1] in a set-up *)
   name : string;
   t0 : float;
   t1 : float;
@@ -100,19 +100,53 @@ let self_ms_by_name spans =
 
 let self_ms tbl name = try Hashtbl.find tbl name with Not_found -> 0.0
 
+(* Memory the recorded spans hold, in MiB: all a trace keeps alive
+   beyond the untraced run. *)
+let retained_mb () =
+  float_of_int (Obj.reachable_words (Obj.repr !recorded) * (Sys.word_size / 8))
+  /. 1048576.0
+
+(* [setups ~times ~traced ~setup ~discard] runs [times] full set-ups and
+   returns the last one's state (the others are torn down by [discard])
+   with the durations of the untraced and of the traced set-ups.  In a
+   traced run every other set-up, counted across calls, records spans
+   around its steps, so the two kinds share the same stretch of time.
+   [setup_s] is a median of several set-ups, split by the callers
+   between the start of the run and the end of the timed phase: this
+   host's speed drifts over seconds, and the median should not rest on
+   one stretch of it. *)
+let setups_done = ref 0
+
+let setups ~times ~traced ~setup ~discard =
+  let rec go k st untraced traced_s =
+    if k = 0 then (Option.get st, untraced, traced_s)
+    else begin
+      Option.iter discard st;
+      let tr = traced && !setups_done mod 2 = 1 in
+      incr setups_done;
+      let was_on = !on in
+      on := tr;
+      set_op (-1);
+      let st', s = Common.timed (fun () -> with_span "setup" setup) in
+      on := was_on;
+      if tr then go (k - 1) (Some st') untraced (s :: traced_s)
+      else go (k - 1) (Some st') (s :: untraced) traced_s
+    end
+  in
+  go times None [] []
+
 (* Chrome trace-event JSON, written once. *)
 let write path spans =
+  let module J = Emsc_obs.Json in
   let origin = List.fold_left (fun m s -> min m s.t0) infinity spans in
+  let event s =
+    J.Obj
+      [ ("name", J.Str s.name); ("ph", J.Str "X"); ("pid", J.Int 1); ("tid", J.Int 1);
+        ("ts", J.Float ((s.t0 -. origin) *. 1e6));
+        ("dur", J.Float ((s.t1 -. s.t0) *. 1e6));
+        ("args", J.Obj [ ("id", J.Int s.id); ("parent", J.Int s.parent); ("op", J.Int s.op) ]) ]
+  in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  output_string oc "{\"traceEvents\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then output_char oc ',';
-      Printf.fprintf oc
-        "\n{\"name\":%S,\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"dur\":%.3f,\
-         \"args\":{\"id\":%d,\"parent\":%d,\"op\":%d}}"
-        s.name ((s.t0 -. origin) *. 1e6) ((s.t1 -. s.t0) *. 1e6) s.id s.parent
-        s.op)
-    spans;
-  output_string oc "\n]}\n"
+  output_string oc (J.to_string (J.Obj [ ("traceEvents", J.List (List.map event spans)) ]));
+  output_char oc '\n'

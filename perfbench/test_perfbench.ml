@@ -1,10 +1,11 @@
 (* The benchmark's own tests.
 
    Default: fast checks of the input generators, the statistics and the
-   set-up functions (run by [dune runtest]).  With [--slow]: whole
-   single-pass runs of every workload, checking that the deterministic
-   metrics repeat exactly, on the development seed and on a held-out
-   one (run by [dune build @perfbench/slow]). *)
+   set-up functions ([dune build --profile perfbench @perfbench/test]).
+   With [--slow]: the shortest traced runs of every workload, checking
+   that the deterministic metrics repeat exactly on the development
+   seed, and equal them on a held-out one
+   ([dune build --profile perfbench @perfbench/slow]). *)
 
 open Perfbench_lib
 open Common
@@ -107,11 +108,8 @@ let test_mix_shares () =
   in
   check "serve-mixed: every hot text gets the same share"
     (List.fold_left max 0 counts - List.fold_left min max_int counts <= 1);
-  (* cold requests, about as many hot ones queued behind them, and the
-     hot texts' equal shares of the rest *)
-  far_from_boundaries "serve-mixed"
-    ([ 1.0 -. c; 1.0 -. (2.0 *. c) ]
-     @ List.init (hot - 1) (fun k -> float_of_int (k + 1) *. (1.0 -. c) /. float_of_int hot));
+  (* cold requests, and about as many hot ones queued behind them *)
+  far_from_boundaries "serve-mixed" [ 1.0 -. c; 1.0 -. (2.0 *. c) ];
   let r = Array.length Inputs.rotation in
   far_from_boundaries "run-kernels"
     (List.init (r - 1) (fun i -> float_of_int (i + 1) /. float_of_int r))
@@ -163,26 +161,40 @@ let deterministic =
     "machine.dma_words" ]
 
 let pass_values (run : Workloads.run) seed =
-  (* [seconds = 0]: exactly one pass over the op set *)
+  (* [seconds = 0]: the fewest whole passes over the op set *)
   let o = run ~seed ~seconds:0.0 ~traced:true in
+  let v name = List.find_opt (fun m -> m.name = name) o.traced_e2e in
   ( o.failed,
     List.filter_map
       (fun m -> if List.mem m.name deterministic then Some (m.name, m.value) else None)
-      (o.e2e @ o.layers) )
+      (o.e2e @ o.layers),
+    List.for_all
+      (fun m -> match v m.name with Some t -> t.value = m.value | None -> false)
+      (List.filter (fun m -> List.mem m.name [ "code_size"; "moved_words" ]) o.e2e) )
 
 let test_deterministic () =
   List.iter
     (fun (name, run) ->
-      List.iter
-        (fun seed ->
-          let f1, a = pass_values run seed in
-          let f2, b = pass_values run seed in
-          check (Printf.sprintf "%s seed %d: no op fails" name seed) (f1 = 0 && f2 = 0);
-          check
-            (Printf.sprintf "%s seed %d: %s repeat exactly" name seed
-               (String.concat ", " (List.map fst a)))
-            (a = b && a <> []))
-        [ 1; 4242 ])
+      let by_seed =
+        List.map
+          (fun seed ->
+            let f1, a, same1 = pass_values run seed in
+            let f2, b, same2 = pass_values run seed in
+            check (Printf.sprintf "%s seed %d: no op fails" name seed) (f1 = 0 && f2 = 0);
+            check
+              (Printf.sprintf "%s seed %d: %s repeat exactly" name seed
+                 (String.concat ", " (List.map fst a)))
+              (a = b && a <> []);
+            check
+              (Printf.sprintf "%s seed %d: traced ops give the same code size and moved words"
+                 name seed)
+              (same1 && same2);
+            a)
+          [ 1; 4242 ]
+      in
+      check
+        (Printf.sprintf "%s: deterministic metrics are the same on seeds 1 and 4242" name)
+        (match by_seed with [ a; b ] -> a = b | _ -> false))
     Workloads.table
 
 let () =

@@ -44,47 +44,37 @@ type result = {
 let value_of ms name =
   match List.find_opt (fun m -> m.name = name) ms with Some m -> m.value | None -> 0.0
 
-(* Untraced: the workload once.  Traced: half the time untraced, half
-   traced; the per-layer metrics come from the traced half, and the
-   difference between the halves is the tracing overhead. *)
+(* Untraced: the end-to-end metrics.  Traced: the per-layer metrics,
+   and the tracing overhead as each end-to-end metric over the traced
+   ops and set-ups minus the same over the untraced ones, both kinds
+   interleaved in one run. *)
 let measure (run : run) ~seed ~seconds ~traced =
-  if not traced then begin
-    let o = run ~seed ~seconds ~traced:false in
-    { correct = o.failed = 0 && o.checks_ok;
-      attempted = o.attempted;
-      failed = o.failed;
-      metrics = o.e2e;
-      notes = o.notes }
-  end
-  else begin
-    let half = seconds /. 2.0 in
-    let u = run ~seed ~seconds:half ~traced:false in
-    let t = run ~seed ~seconds:half ~traced:true in
-    let layers =
-      List.map (fun (n, unit_) -> metric n unit_ (value_of t.layers n)) layer_names
-    in
-    let overhead =
-      List.map
-        (fun (n, unit_) ->
-          metric ("trace.overhead." ^ n) unit_ (value_of t.e2e n -. value_of u.e2e n))
-        e2e_names
-    in
-    { correct = u.failed = 0 && t.failed = 0 && u.checks_ok && t.checks_ok;
-      attempted = u.attempted + t.attempted;
-      failed = u.failed + t.failed;
-      metrics = layers @ overhead;
-      notes = u.notes @ t.notes }
-  end
-
-let json_number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else if Float.is_finite v then Printf.sprintf "%.17g" v
-  else "0"
+  let o = run ~seed ~seconds ~traced in
+  let metrics =
+    if not traced then o.e2e
+    else
+      List.map (fun (n, unit_) -> metric n unit_ (value_of o.layers n)) layer_names
+      @ List.map
+          (fun (n, unit_) ->
+            metric ("trace.overhead." ^ n) unit_ (value_of o.traced_e2e n -. value_of o.e2e n))
+          e2e_names
+  in
+  { correct = o.failed = 0 && o.checks_ok;
+    attempted = o.attempted;
+    failed = o.failed;
+    metrics;
+    notes = o.notes }
 
 let result_json r =
-  let metric_json m =
-    Printf.sprintf "%S: {\"value\": %s, \"unit\": %S}" m.name (json_number m.value) m.unit_
-  in
-  Printf.sprintf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}"
-    r.correct r.attempted r.failed
-    (String.concat ", " (List.map metric_json r.metrics))
+  let module J = Emsc_obs.Json in
+  let number v = J.Float (if Float.is_finite v then v else 0.0) in
+  J.to_string
+    (J.Obj
+       [ ("correct", J.Bool r.correct);
+         ("attempted", J.Int r.attempted);
+         ("failed", J.Int r.failed);
+         ( "metrics",
+           J.Obj
+             (List.map
+                (fun m -> (m.name, J.Obj [ ("value", number m.value); ("unit", J.Str m.unit_) ]))
+                r.metrics) ) ])
