@@ -1202,6 +1202,11 @@ let serve_fig () =
     Emsc_serve.Server.config ~workers ~queue_capacity:256 ~cache
       (`Unix sock)
   in
+  (* concurrent requests for one text race on the shared cache, so how
+     many compiles run varies from run to run: keep them out of the
+     compile_profile, whose solver work bench-compare gates exactly *)
+  let profiling = Emsc_obs.Prof.enabled () in
+  Emsc_obs.Prof.disable ();
   let srv = Domain.spawn (fun () -> Emsc_serve.Server.run cfg) in
   let n_clients = 4 and rounds = 3 in
   let client ci =
@@ -1246,6 +1251,7 @@ let serve_fig () =
    | Ok _ -> ()
    | Error m -> pf "serve: shutdown: %s\n" m);
   let stats = Domain.join srv in
+  if profiling then Emsc_obs.Prof.enable ();
   let sorted = Array.of_list (List.sort compare lats) in
   let total = Array.length sorted in
   if total = 0 then failwith "serve bench: no latencies";
@@ -1291,13 +1297,97 @@ let serve_fig () =
     (Emsc_driver.Cache.evictions cache)
 
 (* ------------------------------------------------------------------ *)
+(* Exact-arithmetic cost: Q operations and the LP solver              *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixed iteration counts and a fixed seed, so every run does the same
+   work; only the clock differs.  Profiling is off for the figure: probe
+   overhead would inflate the per-call numbers, and the calls are not a
+   compile. *)
+let arith () =
+  let module Simplex = Emsc_poly.Simplex in
+  let module Poly = Emsc_poly.Poly in
+  let module Vec = Emsc_linalg.Vec in
+  let profiling = Emsc_obs.Prof.enabled () in
+  Emsc_obs.Prof.disable ();
+  pf "=== Exact arithmetic: Q operations and LP calls ===\n";
+  let per_call ~iters f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int iters
+  in
+  let limb = Zint.shift_left (Zint.of_int 3) 70 in
+  let operands =
+    [ ("int", Q.of_int 12345, Q.of_int (-678));
+      ("fraction", Q.of_ints 355 113, Q.of_ints (-22) 7);
+      ( "limb",
+        Q.make (Zint.add limb Zint.one) (Zint.of_int 7),
+        Q.make (Zint.sub limb Zint.two) (Zint.of_int 11) ) ]
+  in
+  List.iter (fun (kind, a, b) ->
+    List.iter (fun (op, f) ->
+      let ns = 1e9 *. per_call ~iters:200_000 (fun () -> f a b) in
+      record_point ~fig:"arith" ~series:op ~x:kind ~unit_:"ns" ns;
+      pf "%-6s %-9s %8.1f ns\n" op kind ns)
+      [ ("Q.add", Q.add); ("Q.mul", Q.mul) ])
+    operands;
+  (* small random systems, some of them empty *)
+  let rng = Random.State.make [| 20080220 |] in
+  let systems =
+    List.init 200 (fun _ ->
+      let dim = 2 + Random.State.int rng 4 in
+      let row () =
+        Vec.of_array
+          (Array.init (dim + 1) (fun k ->
+             if k = dim then Random.State.int rng 21 - 5
+             else Random.State.int rng 11 - 5))
+      in
+      let ineqs =
+        List.init (dim + 2 + Random.State.int rng 4) (fun _ -> row ())
+      in
+      let obj = Simplex.obj_of_vec (row ()) in
+      (dim, ineqs, obj))
+  in
+  let over_systems f () = List.iter (fun sys -> ignore (f sys)) systems in
+  let n = List.length systems in
+  let us_minimize =
+    1e6 /. float_of_int n
+    *. per_call ~iters:20
+         (over_systems (fun (dim, ineqs, obj) ->
+            Simplex.minimize ~dim ~eqs:[] ~ineqs ~obj))
+  in
+  let us_is_empty =
+    1e6 /. float_of_int n
+    *. per_call ~iters:20
+         (over_systems (fun (dim, ineqs, _) ->
+            Poly.is_empty (Poly.make ~dim ~eqs:[] ~ineqs)))
+  in
+  let empty =
+    List.length
+      (List.filter (fun (dim, ineqs, _) ->
+         Poly.is_empty (Poly.make ~dim ~eqs:[] ~ineqs))
+         systems)
+  in
+  record_point ~fig:"arith" ~series:"Simplex.minimize" ~x:"systems-200"
+    ~unit_:"us" us_minimize;
+  record_point ~fig:"arith" ~series:"Poly.is_empty" ~x:"systems-200"
+    ~unit_:"us" us_is_empty;
+  record_note ~fig:"arith" "empty_systems" (J.Int empty);
+  pf "Simplex.minimize %8.2f us   Poly.is_empty %8.2f us   \
+      (%d systems, %d empty)\n\n"
+    us_minimize us_is_empty n empty;
+  if profiling then Emsc_obs.Prof.enable ()
+
+(* ------------------------------------------------------------------ *)
 
 let all_figs =
   [ ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
     ("fig8", fig8); ("ablations", ablations); ("batch", batch);
     ("check", check); ("audit", audit); ("runtime", runtime);
     ("hierarchy", hierarchy); ("inter_tile", inter_tile);
-    ("serve", serve_fig); ("micro", micro) ]
+    ("serve", serve_fig); ("micro", micro); ("arith", arith) ]
 
 let () =
   let requested =

@@ -32,12 +32,29 @@ let inv q =
     { num = Zint.neg q.den; den = Zint.neg q.num }
   else { num = q.den; den = q.num }
 
+(* Sums, differences and products of integers are integers in
+   canonical form already, so [make]'s gcd is skipped for them. *)
 let add a b =
-  make (Zint.add (Zint.mul a.num b.den) (Zint.mul b.num a.den))
-    (Zint.mul a.den b.den)
+  if Zint.is_zero a.num then b
+  else if Zint.is_zero b.num then a
+  else if Zint.is_one a.den && Zint.is_one b.den then
+    of_zint (Zint.add a.num b.num)
+  else
+    make (Zint.add (Zint.mul a.num b.den) (Zint.mul b.num a.den))
+      (Zint.mul a.den b.den)
 
-let sub a b = add a (neg b)
-let mul a b = make (Zint.mul a.num b.num) (Zint.mul a.den b.den)
+let sub a b =
+  if Zint.is_zero b.num then a
+  else if Zint.is_one a.den && Zint.is_one b.den then
+    of_zint (Zint.sub a.num b.num)
+  else add a (neg b)
+
+let mul a b =
+  if Zint.is_zero a.num then a
+  else if Zint.is_zero b.num then b
+  else if Zint.is_one a.den && Zint.is_one b.den then
+    of_zint (Zint.mul a.num b.num)
+  else make (Zint.mul a.num b.num) (Zint.mul a.den b.den)
 let div a b = mul a (inv b)
 
 let sign q = Zint.sign q.num
@@ -45,7 +62,8 @@ let is_zero q = Zint.is_zero q.num
 let is_integer q = Zint.is_one q.den
 
 let compare a b =
-  Zint.compare (Zint.mul a.num b.den) (Zint.mul b.num a.den)
+  if Zint.is_one a.den && Zint.is_one b.den then Zint.compare a.num b.num
+  else Zint.compare (Zint.mul a.num b.den) (Zint.mul b.num a.den)
 
 let equal a b = Zint.equal a.num b.num && Zint.equal a.den b.den
 let min a b = if compare a b <= 0 then a else b

@@ -1,299 +1,161 @@
-(* Sign-magnitude bignums over 31-bit limbs (little-endian).  All limb
-   products fit in 62 bits, so every intermediate stays inside OCaml's
-   native 63-bit [int] with room for a carry bit. *)
+(* A value that fits a native [int] is held as that [int] ([S]); only a
+   value outside the [int] range is held in limbs ([L]).  The form is
+   canonical, so structural equality is value equality.  Every small
+   operation checks for overflow and redoes the operation in limbs when
+   it overflows. *)
 
-let limb_bits = 31
-let base = 1 lsl limb_bits (* 2^31 *)
-let limb_mask = base - 1
+type t = S of int | L of Limbs.t
 
-type t = { sign : int; mag : int array }
-(* Invariants: sign ∈ {-1,0,1}; sign = 0 iff mag = [||];
-   mag has no trailing (most-significant) zero limb;
-   every limb is in [0, base). *)
+let of_big b = match Limbs.to_int_opt b with Some n -> S n | None -> L b
+let to_big = function S n -> Limbs.of_int n | L b -> b
 
-let zero = { sign = 0; mag = [||] }
+let zero = S 0
+let one = S 1
+let two = S 2
+let minus_one = S (-1)
 
-let normalize_mag mag =
-  let n = ref (Array.length mag) in
-  while !n > 0 && mag.(!n - 1) = 0 do decr n done;
-  if !n = Array.length mag then mag else Array.sub mag 0 !n
+let of_int n = S n
+let is_canonical = function S _ -> true | L b -> Limbs.to_int_opt b = None
 
-let make sign mag =
-  let mag = normalize_mag mag in
-  if Array.length mag = 0 then zero else { sign; mag }
+let to_int_opt = function S n -> Some n | L _ -> None
 
-let of_int n =
-  if n = 0 then zero
-  else begin
-    let sign = if n < 0 then -1 else 1 in
-    (* min_int negation overflows; go through the loop with negatives *)
-    let rec limbs acc n =
-      if n = 0 then List.rev acc
-      else limbs ((-(n mod base)) :: acc) (n / base)
-    in
-    let l = limbs [] (if n < 0 then n else -n) in
-    { sign; mag = Array.of_list l }
-  end
+let to_int_exn = function
+  | S n -> n
+  | L _ -> failwith "Zint.to_int_exn: value does not fit in int"
 
-let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
+let to_float = function S n -> float_of_int n | L b -> Limbs.to_float b
 
-let sign x = x.sign
-let is_zero x = x.sign = 0
-let is_negative x = x.sign < 0
-let is_positive x = x.sign > 0
+let sign = function S n -> Int.compare n 0 | L b -> Limbs.sign b
+let is_zero = function S 0 -> true | _ -> false
+let is_one = function S 1 -> true | _ -> false
+let is_negative x = sign x < 0
+let is_positive x = sign x > 0
 
-let compare_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
-  else begin
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-  end
-
+(* An [L] value lies outside the [int] range, so its sign alone orders
+   it against any [S] value. *)
 let compare x y =
-  if x.sign <> y.sign then compare x.sign y.sign
-  else if x.sign >= 0 then compare_mag x.mag y.mag
-  else compare_mag y.mag x.mag
+  match x, y with
+  | S a, S b -> Int.compare a b
+  | S _, L b -> - Limbs.sign b
+  | L a, S _ -> Limbs.sign a
+  | L a, L b -> Limbs.compare a b
 
-let equal x y = compare x y = 0
+let equal x y =
+  match x, y with
+  | S a, S b -> a = b
+  | L a, L b -> Limbs.compare a b = 0
+  | S _, L _ | L _, S _ -> false
+
 let min x y = if compare x y <= 0 then x else y
 let max x y = if compare x y >= 0 then x else y
+let hash = function S n -> Hashtbl.hash n | L b -> Hashtbl.hash b
 
-let is_one x = x.sign = 1 && Array.length x.mag = 1 && x.mag.(0) = 1
+let compare_sign_magnitude x y = Limbs.compare_layout (to_big x) (to_big y)
 
-let hash x =
-  Array.fold_left (fun acc limb -> (acc * 31 + limb) land max_int)
-    (x.sign + 2) x.mag
+let big2 op x y = of_big (op (to_big x) (to_big y))
 
-(* |a| + |b| *)
-let add_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  let lr = (if la > lb then la else lb) + 1 in
-  let r = Array.make lr 0 in
-  let carry = ref 0 in
-  for i = 0 to lr - 1 do
-    let ai = if i < la then a.(i) else 0 in
-    let bi = if i < lb then b.(i) else 0 in
-    let s = ai + bi + !carry in
-    r.(i) <- s land limb_mask;
-    carry := s lsr limb_bits
-  done;
-  r
+let neg = function
+  | S n when n <> min_int -> S (-n)
+  | x -> of_big (Limbs.neg (to_big x))
 
-(* |a| - |b|, requires |a| >= |b| *)
-let sub_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make la 0 in
-  let borrow = ref 0 in
-  for i = 0 to la - 1 do
-    let bi = if i < lb then b.(i) else 0 in
-    let d = a.(i) - bi - !borrow in
-    if d < 0 then begin r.(i) <- d + base; borrow := 1 end
-    else begin r.(i) <- d; borrow := 0 end
-  done;
-  assert (!borrow = 0);
-  r
-
-let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
-let abs x = if x.sign < 0 then neg x else x
+let abs x = if is_negative x then neg x else x
 
 let add x y =
-  if x.sign = 0 then y
-  else if y.sign = 0 then x
-  else if x.sign = y.sign then make x.sign (add_mag x.mag y.mag)
-  else begin
-    let c = compare_mag x.mag y.mag in
-    if c = 0 then zero
-    else if c > 0 then make x.sign (sub_mag x.mag y.mag)
-    else make y.sign (sub_mag y.mag x.mag)
-  end
+  match x, y with
+  | S a, S b ->
+    let s = a + b in
+    (* overflow iff both operands have a sign the sum does not *)
+    if (a lxor s) land (b lxor s) < 0 then big2 Limbs.add x y else S s
+  | _ -> big2 Limbs.add x y
 
-let sub x y = add x (neg y)
+let sub x y =
+  match x, y with
+  | S a, S b ->
+    let d = a - b in
+    if (a lxor b) land (a lxor d) < 0 then big2 Limbs.sub x y else S d
+  | _ -> big2 Limbs.sub x y
 
-let mul_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make (la + lb) 0 in
-  for i = 0 to la - 1 do
-    let ai = a.(i) in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to lb - 1 do
-        let t = (ai * b.(j)) + r.(i + j) + !carry in
-        r.(i + j) <- t land limb_mask;
-        carry := t lsr limb_bits
-      done;
-      (* propagate the final carry, which can itself exceed one limb *)
-      let k = ref (i + lb) in
-      while !carry <> 0 do
-        let t = r.(!k) + !carry in
-        r.(!k) <- t land limb_mask;
-        carry := t lsr limb_bits;
-        incr k
-      done
-    end
-  done;
-  r
+(* |a|, |b| < 2^31 keeps the product below 2^62; past that, check by
+   dividing back, where [min_int / -1] wraps to [min_int] unnoticed *)
+let half = 1 lsl 31
 
 let mul x y =
-  if x.sign = 0 || y.sign = 0 then zero
-  else make (x.sign * y.sign) (mul_mag x.mag y.mag)
+  match x, y with
+  | S a, S b ->
+    if a > - half && a < half && b > - half && b < half then S (a * b)
+    else begin
+      let p = a * b in
+      if a <> 0 && (p / a <> b || (a = -1 && b = min_int))
+      then big2 Limbs.mul x y
+      else S p
+    end
+  | _ -> big2 Limbs.mul x y
 
-let mul_int x n = mul x (of_int n)
-let add_int x n = add x (of_int n)
+let mul_int x n = mul x (S n)
+let add_int x n = add x (S n)
 
-(* Left-shift a magnitude by [s] bits, 0 <= s < limb_bits. *)
-let shl_mag_bits a s =
-  if s = 0 then Array.copy a
-  else begin
-    let la = Array.length a in
-    let r = Array.make (la + 1) 0 in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let t = (a.(i) lsl s) lor !carry in
-      r.(i) <- t land limb_mask;
-      carry := t lsr limb_bits
-    done;
-    r.(la) <- !carry;
-    r
-  end
+(* [min_int / -1] is the one small quotient that leaves the range *)
+let small_div a b = b <> 0 && not (a = min_int && b = -1)
 
-(* Right-shift a magnitude by [s] bits, 0 <= s < limb_bits. *)
-let shr_mag_bits a s =
-  if s = 0 then Array.copy a
-  else begin
-    let la = Array.length a in
-    let r = Array.make la 0 in
-    for i = 0 to la - 1 do
-      let hi = if i + 1 < la then a.(i + 1) else 0 in
-      r.(i) <- ((a.(i) lsr s) lor (hi lsl (limb_bits - s))) land limb_mask
-    done;
-    r
-  end
-
-let shift_left x k =
-  if k < 0 then invalid_arg "Zint.shift_left"
-  else if x.sign = 0 || k = 0 then x
-  else begin
-    let limbs = k / limb_bits and bits = k mod limb_bits in
-    let shifted = shl_mag_bits x.mag bits in
-    let r = Array.make (limbs + Array.length shifted) 0 in
-    Array.blit shifted 0 r limbs (Array.length shifted);
-    make x.sign r
-  end
-
-(* Knuth Algorithm D.  [divmod_mag u v] returns (q, r) with
-   u = q*v + r, 0 <= r < v, all as magnitudes. *)
-let divmod_mag u v =
-  let n = Array.length v in
-  assert (n > 0);
-  if compare_mag u v < 0 then ([||], Array.copy u)
-  else if n = 1 then begin
-    let v0 = v.(0) in
-    let lu = Array.length u in
-    let q = Array.make lu 0 in
-    let r = ref 0 in
-    for i = lu - 1 downto 0 do
-      let cur = (!r lsl limb_bits) lor u.(i) in
-      q.(i) <- cur / v0;
-      r := cur mod v0
-    done;
-    (q, if !r = 0 then [||] else [| !r |])
-  end
-  else begin
-    (* Normalize so the top divisor limb has its high bit set. *)
-    let s =
-      let rec go s top = if top land (base lsr 1) <> 0 then s
-        else go (s + 1) (top lsl 1)
-      in
-      go 0 v.(n - 1)
-    in
-    let vn = normalize_mag (shl_mag_bits v s) in
-    assert (Array.length vn = n);
-    let un =
-      let t = shl_mag_bits u s in
-      (* ensure one extra high limb *)
-      if Array.length t = Array.length u then Array.append t [| 0 |] else t
-    in
-    let m = Array.length un - n - 1 in
-    let q = Array.make (m + 1) 0 in
-    let v1 = vn.(n - 1) and v2 = vn.(n - 2) in
-    for j = m downto 0 do
-      let top = (un.(j + n) lsl limb_bits) lor un.(j + n - 1) in
-      let qhat = ref (top / v1) and rhat = ref (top mod v1) in
-      let adjust = ref true in
-      while !adjust do
-        if !qhat >= base
-           || !qhat * v2 > (!rhat lsl limb_bits) lor un.(j + n - 2)
-        then begin
-          decr qhat;
-          rhat := !rhat + v1;
-          if !rhat >= base then adjust := false
-        end
-        else adjust := false
-      done;
-      (* multiply-subtract qhat * vn from un[j .. j+n] *)
-      let borrow = ref 0 and carry = ref 0 in
-      for i = 0 to n - 1 do
-        let p = !qhat * vn.(i) + !carry in
-        carry := p lsr limb_bits;
-        let d = un.(i + j) - (p land limb_mask) - !borrow in
-        if d < 0 then begin un.(i + j) <- d + base; borrow := 1 end
-        else begin un.(i + j) <- d; borrow := 0 end
-      done;
-      let d = un.(j + n) - !carry - !borrow in
-      if d < 0 then begin
-        (* rare over-estimate: add vn back and decrement qhat *)
-        un.(j + n) <- d + base;
-        decr qhat;
-        let c = ref 0 in
-        for i = 0 to n - 1 do
-          let t = un.(i + j) + vn.(i) + !c in
-          un.(i + j) <- t land limb_mask;
-          c := t lsr limb_bits
-        done;
-        un.(j + n) <- (un.(j + n) + !c) land limb_mask
-      end
-      else un.(j + n) <- d;
-      q.(j) <- !qhat
-    done;
-    let r = shr_mag_bits (Array.sub un 0 n) s in
-    (q, r)
-  end
+let big_divmod x y =
+  if is_zero y then raise Division_by_zero;
+  Limbs.divmod (to_big x) (to_big y)
 
 let divmod x y =
-  if y.sign = 0 then raise Division_by_zero
-  else if x.sign = 0 then (zero, zero)
-  else begin
-    let q, r = divmod_mag x.mag y.mag in
-    (make (x.sign * y.sign) q, make x.sign r)
-  end
+  match x, y with
+  | S a, S b when small_div a b -> (S (a / b), S (a mod b))
+  | _ ->
+    let q, r = big_divmod x y in
+    (of_big q, of_big r)
 
-let div x y = fst (divmod x y)
-let rem x y = snd (divmod x y)
+let div x y =
+  match x, y with
+  | S a, S b when small_div a b -> S (a / b)
+  | _ -> of_big (fst (big_divmod x y))
+
+let rem x y =
+  match x, y with
+  | S a, S b when small_div a b -> S (a mod b)
+  | _ -> of_big (snd (big_divmod x y))
 
 let fdiv x y =
-  let q, r = divmod x y in
-  if r.sign <> 0 && r.sign <> y.sign then sub q one else q
+  match x, y with
+  | S a, S b when small_div a b ->
+    let q = a / b and r = a mod b in
+    S (if r <> 0 && (r lxor b) < 0 then q - 1 else q)
+  | _ ->
+    let q, r = divmod x y in
+    if sign r <> 0 && sign r <> sign y then sub q one else q
 
 let cdiv x y =
-  let q, r = divmod x y in
-  if r.sign <> 0 && r.sign = y.sign then add q one else q
+  match x, y with
+  | S a, S b when small_div a b ->
+    let q = a / b and r = a mod b in
+    S (if r <> 0 && (r lxor b) >= 0 then q + 1 else q)
+  | _ ->
+    let q, r = divmod x y in
+    if sign r <> 0 && sign r = sign y then add q one else q
 
 let fmod x y = sub x (mul y (fdiv x y))
 
 let divexact x y =
-  let q, r = divmod x y in
-  assert (is_zero r);
-  q
+  match x, y with
+  | S a, S b when small_div a b -> assert (a mod b = 0); S (a / b)
+  | _ ->
+    let q, r = divmod x y in
+    assert (is_zero r);
+    q
 
-let rec gcd_aux a b = if is_zero b then a else gcd_aux b (rem a b)
-let gcd x y = gcd_aux (abs x) (abs y)
+(* Euclid on ints with truncated [mod]: the result is the gcd up to
+   sign, and is [min_int] only when the gcd is 2^62 *)
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+let rec gcd x y =
+  match x, y with
+  | S a, S b ->
+    let g = int_gcd a b in
+    if g = min_int then neg (S g) else S (Stdlib.abs g)
+  | _ -> if is_zero y then abs x else gcd y (rem x y)
 
 let lcm x y =
   if is_zero x || is_zero y then zero
@@ -308,67 +170,17 @@ let pow x k =
   in
   go one x k
 
-let to_int_opt x =
-  (* Two limbs cover 62 bits, which always fits; three limbs only fit
-     for min_int = -2^62 itself. *)
-  match Array.length x.mag with
-  | 0 -> Some 0
-  | 1 -> Some (x.sign * x.mag.(0))
-  | 2 -> Some (x.sign * ((x.mag.(1) lsl limb_bits) lor x.mag.(0)))
-  | 3 when x.sign = -1 && x.mag.(0) = 0 && x.mag.(1) = 0 && x.mag.(2) = 1 ->
-    Some min_int
-  | _ -> None
+let shift_left x k =
+  if k < 0 then invalid_arg "Zint.shift_left";
+  match x with
+  | S n when k < Sys.int_size && (n lsl k) asr k = n -> S (n lsl k)
+  | _ -> of_big (Limbs.shift_left (to_big x) k)
 
-let to_int_exn x =
-  match to_int_opt x with
-  | Some n -> n
-  | None -> failwith "Zint.to_int_exn: value does not fit in int"
+let to_string = function
+  | S n -> string_of_int n
+  | L b -> Limbs.to_string b
 
-let to_float x =
-  let f = ref 0.0 in
-  for i = Array.length x.mag - 1 downto 0 do
-    f := (!f *. float_of_int base) +. float_of_int x.mag.(i)
-  done;
-  float_of_int x.sign *. !f
-
-let ten = of_int 10
-let billion = of_int 1_000_000_000
-
-let to_string x =
-  if x.sign = 0 then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    (* peel 9 decimal digits at a time *)
-    let rec go v acc =
-      if is_zero v then acc
-      else begin
-        let q, r = divmod v billion in
-        go q (to_int_exn r :: acc)
-      end
-    in
-    if x.sign < 0 then Buffer.add_char buf '-';
-    (match go (abs x) [] with
-     | [] -> assert false
-     | d :: rest ->
-       Buffer.add_string buf (string_of_int d);
-       List.iter (fun d -> Buffer.add_string buf (Printf.sprintf "%09d" d))
-         rest);
-    Buffer.contents buf
-  end
-
-let of_string s =
-  let len = String.length s in
-  if len = 0 then invalid_arg "Zint.of_string: empty";
-  let negative = s.[0] = '-' in
-  let start = if negative || s.[0] = '+' then 1 else 0 in
-  if start >= len then invalid_arg "Zint.of_string: no digits";
-  let v = ref zero in
-  for i = start to len - 1 do
-    let c = s.[i] in
-    if c < '0' || c > '9' then invalid_arg "Zint.of_string: bad digit";
-    v := add (mul !v ten) (of_int (Char.code c - Char.code '0'))
-  done;
-  if negative then neg !v else !v
+let of_string s = of_big (Limbs.of_string s)
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 

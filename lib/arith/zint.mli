@@ -1,10 +1,17 @@
 (** Arbitrary-precision signed integers.
 
     Polyhedral operations (Fourier–Motzkin elimination, exact simplex,
-    lattice computations) produce coefficients that overflow machine
-    integers; every algebraic layer of emsc is built on this module.
-    The representation is sign–magnitude with 31-bit limbs so that all
-    intermediate limb products fit in OCaml's 63-bit native [int]. *)
+    lattice computations) can produce coefficients that overflow
+    machine integers; every algebraic layer of emsc is built on this
+    module.
+
+    Almost every value emsc meets fits a native [int], and such a value
+    is held as that [int].  Each operation on two such values works on
+    the [int]s directly and checks for overflow; only a result outside
+    the [int] range is held as a sign–magnitude bignum over 31-bit
+    limbs ({!Limbs}).  The form is canonical: a value has one
+    representation, so structural equality is value equality.
+    Polymorphic [compare] is not numeric order; use {!compare}. *)
 
 type t
 
@@ -14,6 +21,10 @@ val two : t
 val minus_one : t
 
 val of_int : int -> t
+
+val is_canonical : t -> bool
+(** The representation invariant: a value that fits in a native [int]
+    is never held in limbs.  Always [true]; for tests. *)
 
 val to_int_opt : t -> int option
 (** [to_int_opt x] is [Some n] when [x] fits in a native [int]. *)
@@ -75,6 +86,15 @@ val pow : t -> int -> t
 val shift_left : t -> int -> t
 
 val compare : t -> t -> int
+(** Numeric order. *)
+
+val compare_sign_magnitude : t -> t -> int
+(** A total order that is not numeric: by sign, then by the number of
+    31-bit limbs in the magnitude, then limb by limb from the least
+    significant.  It is the order polymorphic [compare] gave the former
+    all-limbs layout; code that sorts only to get a canonical order uses
+    it so its output keeps that order. *)
+
 val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t

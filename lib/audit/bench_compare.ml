@@ -132,6 +132,42 @@ let profile_section j =
      | _ -> [])
   | None -> []
 
+(* deterministic solver work from the same compile_profile section: LP
+   calls, simplex pivots and branch-and-bound nodes.  A faster solver
+   must do the same work, so these are gated at zero tolerance; absent
+   in artifacts that predate the profiler or its counters, so absence
+   is an empty section and new keys surface as "added" *)
+let solver_work_section j =
+  let ( let* ) = Option.bind in
+  match J.member "compile_profile" j with
+  | None -> []
+  | Some p ->
+    let calls =
+      match
+        let* passes = J.member "passes" p in
+        let* entry = J.member "simplex.minimize" passes in
+        let* c = J.member "calls" entry in
+        num c
+      with
+      | Some c -> [ ("simplex.minimize.calls", c) ]
+      | None -> []
+    in
+    let counter name =
+      match J.member "stacks" p with
+      | Some (J.List stacks) ->
+        (match
+           List.filter_map (fun s ->
+             let* counters = J.member "counters" s in
+             let* v = J.member name counters in
+             num v)
+             stacks
+         with
+         | [] -> []
+         | vs -> [ (name, List.fold_left ( +. ) 0.0 vs) ])
+      | _ -> []
+    in
+    calls @ counter "simplex.pivots" @ counter "pip.nodes"
+
 (* ignore sub-tenth-of-a-millisecond growth: micro-pass jitter, not a
    credible cause of a wall regression *)
 let attribution_floor_ms = 0.1
@@ -232,6 +268,8 @@ let compare ?(wall_tolerance = default_wall_tolerance)
          its own right, regardless of wall time *)
       |> diff_section ~metric:"overlap_fail" ~tolerance:0.0
            (report_section old_j) (report_section new_j)
+      |> diff_section ~metric:"solver_work" ~tolerance:0.0
+           (solver_work_section old_j) (solver_work_section new_j)
     in
     let prof_old = profile_section old_j in
     let prof_new = profile_section new_j in

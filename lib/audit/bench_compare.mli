@@ -33,13 +33,20 @@
     are diffed and the top offending passes are named in the failure
     message ({!report}[.r_attribution]).  Passes absent from the old
     profile surface as added coverage; passes the new profile dropped
-    are ignored. *)
+    are ignored.
+
+    The deterministic solver work in the same section is gated at zero
+    tolerance (metric ["solver_work"]): [simplex.minimize] calls and
+    the summed [simplex.pivots] and [pip.nodes] counters.  One extra
+    pivot fails the comparison, so a solver speed-up cannot be traded
+    for more work.  A count absent from the old artifact is added. *)
 
 type change = {
   c_key : string;     (** figure, kernel, or (attribution) pass name *)
   c_metric : string;
       (** ["wall_ms"], ["global_words"], ["runtime_wall_ms"],
-          ["overlap_fail"] or ["pass_self_ms"] (attribution only) *)
+          ["overlap_fail"], ["solver_work"] or ["pass_self_ms"]
+          (attribution only) *)
   c_old : float;
   c_new : float;
   c_ratio : float;    (** new / old; [infinity] when old is 0 *)

@@ -90,6 +90,29 @@ let rebuild_linear terms const =
   | e :: rest, false ->
     Add (List.fold_left (fun acc x -> Add (acc, x)) e rest, Const const)
 
+(* The canonical order of Min/Max operands: constructors in declaration
+   order, then fields left to right, lists lexicographically, constants
+   by [Zint.compare_sign_magnitude].  This is the order polymorphic
+   [compare] gave when every Zint was a sign-magnitude record, so the
+   generated code keeps its operand order. *)
+let rec compare_aexpr a b =
+  let tag = function
+    | Var _ -> 0 | Const _ -> 1 | Add _ -> 2 | Sub _ -> 3 | Mul _ -> 4
+    | Fdiv _ -> 5 | Cdiv _ -> 6 | Min _ -> 7 | Max _ -> 8
+  in
+  let zc = Zint.compare_sign_magnitude in
+  let ( >>? ) c k = if c <> 0 then c else k () in
+  match a, b with
+  | Var x, Var y -> String.compare x y
+  | Const x, Const y -> zc x y
+  | Add (a1, a2), Add (b1, b2) | Sub (a1, a2), Sub (b1, b2) ->
+    compare_aexpr a1 b1 >>? fun () -> compare_aexpr a2 b2
+  | Mul (k, x), Mul (l, y) -> zc k l >>? fun () -> compare_aexpr x y
+  | Fdiv (x, k), Fdiv (y, l) | Cdiv (x, k), Cdiv (y, l) ->
+    compare_aexpr x y >>? fun () -> zc k l
+  | Min xs, Min ys | Max xs, Max ys -> List.compare compare_aexpr xs ys
+  | _ -> Int.compare (tag a) (tag b)
+
 let rec simplify e =
   match linearize e with
   | Some (terms, const) -> rebuild_linear terms const
@@ -146,7 +169,7 @@ and simplify_structural e =
       | [] -> rest
       | c :: cs -> rest @ [ Const (List.fold_left Zint.min c cs) ]
     in
-    match List.sort_uniq compare rest with
+    match List.sort_uniq compare_aexpr rest with
     | [] -> invalid_arg "Ast.simplify: empty min"
     | [ e ] -> e
     | es -> Min es
@@ -166,7 +189,7 @@ and simplify_structural e =
       | [] -> rest
       | c :: cs -> rest @ [ Const (List.fold_left Zint.max c cs) ]
     in
-    match List.sort_uniq compare rest with
+    match List.sort_uniq compare_aexpr rest with
     | [] -> invalid_arg "Ast.simplify: empty max"
     | [ e ] -> e
     | es -> Max es

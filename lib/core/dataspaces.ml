@@ -35,6 +35,29 @@ let spaces_of_array p name =
   List.map (fun (s, a) -> { stmt = s; access = a; space = space_of_access p s a })
     (Prog.all_accesses_to p name)
 
+let compare_array cmp x y =
+  let n = Array.length x in
+  let rec go i =
+    if i = n then 0
+    else match cmp x.(i) y.(i) with 0 -> go (i + 1) | c -> c
+  in
+  match Int.compare n (Array.length y) with 0 -> go 0 | c -> c
+
+(* Statement id, then the access: array, kind, and map with entries
+   under [Zint.compare_sign_magnitude].  This is the order polymorphic
+   [compare] gave when every Zint was a sign-magnitude record, so
+   buffers keep their order and names.  Ids are unique within a program
+   and a space is a function of its statement and access, so the space
+   itself never decides. *)
+let compare_dspace a b =
+  let kind = function Prog.Read -> 0 | Prog.Write -> 1 in
+  let ( >>? ) c k = if c <> 0 then c else k () in
+  Int.compare a.stmt.Prog.id b.stmt.Prog.id >>? fun () ->
+  String.compare a.access.Prog.array b.access.Prog.array >>? fun () ->
+  Int.compare (kind a.access.Prog.kind) (kind b.access.Prog.kind) >>? fun () ->
+  compare_array (compare_array Zint.compare_sign_magnitude)
+    a.access.Prog.map b.access.Prog.map
+
 (* Connected components of the overlap graph. *)
 let components spaces =
   let n = List.length spaces in
@@ -57,7 +80,7 @@ let components spaces =
     Hashtbl.replace groups r (arr.(i) :: (try Hashtbl.find groups r with Not_found -> []))
   done;
   Hashtbl.fold (fun _ members acc -> List.rev members :: acc) groups []
-  |> List.sort compare
+  |> List.sort (List.compare compare_dspace)
 
 let partition_array p name =
   let decl = Prog.find_array p name in

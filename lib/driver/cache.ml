@@ -35,7 +35,7 @@ type t = {
 
 (* bump when any stage's result type changes: stored values are
    untyped, the key is the only type witness *)
-let version = "emsc-driver-cache/1"
+let version = "emsc-driver-cache/2"
 
 let make_sentinel () =
   let rec s = { n_key = ""; n_bytes = ""; prev = s; next = s } in

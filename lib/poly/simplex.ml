@@ -16,6 +16,7 @@ type tableau = {
   mutable rows : Q.t array array; (* m x ncols *)
   mutable rhs : Q.t array;        (* m *)
   mutable basis : int array;      (* m, column index basic in each row *)
+  mutable red : Q.t array;        (* reduced costs of the current phase *)
   ncols : int;
 }
 
@@ -41,11 +42,17 @@ let pivot t ~row ~col =
       end
     end
   done;
+  (* the reduced-cost row is eliminated like any other row *)
+  let f = t.red.(col) in
+  if not (Q.is_zero f) then
+    for j = 0 to t.ncols - 1 do
+      t.red.(j) <- Q.sub t.red.(j) (Q.mul f r.(j))
+    done;
   t.basis.(row) <- col
 
 (* Reduced costs for objective [cost] (length ncols) given the current
-   basis: z_j = cost_j - cost_B . B^-1 A_j.  We maintain them by direct
-   computation each iteration; problems are small, clarity wins. *)
+   basis: z_j = cost_j - cost_B . B^-1 A_j.  Computed once per phase;
+   [pivot] keeps them current after that. *)
 let reduced_costs t cost =
   let m = Array.length t.rows in
   let red = Array.copy cost in
@@ -73,11 +80,11 @@ let objective_value t cost =
    among the min-ratio rows.  Returns `Optimal or `Unbounded. *)
 let solve_phase t cost ~allowed =
   let m = Array.length t.rows in
+  t.red <- reduced_costs t cost;
   let rec iterate () =
-    let red = reduced_costs t cost in
     let entering = ref (-1) in
     for j = t.ncols - 1 downto 0 do
-      if allowed j && Q.sign red.(j) < 0 then entering := j
+      if allowed j && Q.sign t.red.(j) < 0 then entering := j
     done;
     if !entering < 0 then `Optimal
     else begin
@@ -140,7 +147,7 @@ let minimize_impl ~dim ~eqs ~ineqs ~obj =
   in
   List.iteri (fun i a -> fill i a ~slack:None) eqs;
   List.iteri (fun k a -> fill (n_eq + k) a ~slack:(Some k)) ineqs;
-  let t = { rows; rhs; basis; ncols } in
+  let t = { rows; rhs; basis; red = Array.make ncols Q.zero; ncols } in
   (* Phase 1: minimize sum of artificials. *)
   let cost1 = Array.make ncols Q.zero in
   for j = art0 to ncols - 1 do

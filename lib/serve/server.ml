@@ -346,9 +346,15 @@ let run (cfg : config) : stats =
         ("cache", Cache.stats_json cfg.cache) ]
   in
 
+  (* Once drained, a still-open connection gets a short grace to send
+     what it pipelined behind the shutdown, so that work is rejected
+     rather than dropped: closing a socket with unread input resets it
+     and loses the replies already written. *)
+  let drain_until = ref infinity in
   let begin_drain () =
     if not !draining then begin
       draining := true;
+      drain_until := Unix.gettimeofday () +. 0.5;
       cfg.log "draining: no new work accepted";
       (* stop accepting; connections stay open to collect responses *)
       close_noerr listen_fd
@@ -608,8 +614,12 @@ let run (cfg : config) : stats =
           (fun _ c acc -> acc + Buffer.length c.c_out - c.c_out_off)
           conns 0
       in
-      if depth = 0 && flight = 0 && !outstanding = 0 && pending_out = 0 then
-        finished := true
+      let open_conns =
+        Hashtbl.fold (fun _ c n -> if c.c_eof then n else n + 1) conns 0
+      in
+      if depth = 0 && flight = 0 && !outstanding = 0 && pending_out = 0
+         && (open_conns = 0 || Unix.gettimeofday () >= !drain_until)
+      then finished := true
     end
   done;
 

@@ -1,6 +1,7 @@
 (* Unit and property tests for Zint and Q.  Properties are checked
-   against native-int reference results on small operands and against
-   algebraic identities on large ones. *)
+   against native-int reference results on small operands, against
+   algebraic identities on large ones, and operation by operation
+   against the limb arithmetic that is Zint's big case. *)
 
 open Emsc_arith
 
@@ -153,6 +154,125 @@ let prop_fdiv_floor =
       Zint.to_int_exn (Zint.fdiv (z a) (z b))
       = int_of_float (Float.floor (float_of_int a /. float_of_int b)))
 
+(* --- Zint against Limbs ------------------------------------------------- *)
+
+(* Zint holds a value that fits an int as that int and falls back to
+   Limbs on overflow, so the interesting operands sit at the int
+   boundaries: 0, +-1, +-2, +-2^31, +-2^62, max_int, min_int, and
+   products of those just outside the int range. *)
+
+let edges =
+  [ 0; 1; -1; 2; -2; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1;
+    1 - (1 lsl 31); 3037000499; -3037000499; 1 lsl 61; -(1 lsl 61);
+    max_int; min_int; max_int - 1; min_int + 1 ]
+
+let limbs_gen =
+  let open QCheck.Gen in
+  let lz = Limbs.of_int in
+  let near_edge =
+    map2 (fun e d -> Limbs.add (lz e) (lz d)) (oneofl edges) (int_range (-2) 2)
+  in
+  let edge_product =
+    map3 (fun a b d -> Limbs.add (Limbs.mul (lz a) (lz b)) (lz d))
+      (oneofl edges) (oneofl edges) (int_range (-2) 2)
+  in
+  frequency
+    [ (4, near_edge); (2, edge_product); (2, map lz int);
+      (2, map lz (int_range (-1000) 1000)) ]
+
+let limbs_arb = QCheck.make ~print:Limbs.to_string limbs_gen
+let zint_of_limbs l = Zint.of_string (Limbs.to_string l)
+
+(* reference derived operations, computed in limbs only *)
+let limbs_fdiv a b =
+  let q, r = Limbs.divmod a b in
+  if Limbs.sign r <> 0 && Limbs.sign r <> Limbs.sign b then
+    Limbs.sub q (Limbs.of_int 1)
+  else q
+
+let limbs_cdiv a b =
+  let q, r = Limbs.divmod a b in
+  if Limbs.sign r <> 0 && Limbs.sign r = Limbs.sign b then
+    Limbs.add q (Limbs.of_int 1)
+  else q
+
+let rec limbs_gcd a b =
+  if Limbs.is_zero b then Limbs.abs a else limbs_gcd b (snd (Limbs.divmod a b))
+
+(* every result must equal the limb result and be in canonical form *)
+let agree name r expected =
+  if not (Zint.is_canonical r) then
+    QCheck.Test.fail_reportf "%s: %s held in limbs although it fits an int"
+      name (Zint.to_string r);
+  if Zint.to_string r <> Limbs.to_string expected then
+    QCheck.Test.fail_reportf "%s: got %s, limbs say %s" name (Zint.to_string r)
+      (Limbs.to_string expected)
+
+let prop_zint_matches_limbs =
+  QCheck.Test.make ~name:"zint matches limbs at the int boundaries"
+    ~count:3000 (QCheck.pair limbs_arb limbs_arb)
+    (fun (la, lb) ->
+      let a = zint_of_limbs la and b = zint_of_limbs lb in
+      agree "operand" a la;
+      agree "add" (Zint.add a b) (Limbs.add la lb);
+      agree "sub" (Zint.sub a b) (Limbs.sub la lb);
+      agree "mul" (Zint.mul a b) (Limbs.mul la lb);
+      agree "neg" (Zint.neg a) (Limbs.neg la);
+      agree "abs" (Zint.abs a) (Limbs.abs la);
+      agree "gcd" (Zint.gcd a b) (limbs_gcd la lb);
+      agree "shift_left" (Zint.shift_left a 1) (Limbs.shift_left la 1);
+      agree "shift_left 33" (Zint.shift_left a 33) (Limbs.shift_left la 33);
+      if Zint.compare a b <> Limbs.compare la lb then
+        QCheck.Test.fail_reportf "compare disagrees";
+      if Zint.compare_sign_magnitude a b <> Limbs.compare_layout la lb then
+        QCheck.Test.fail_reportf "compare_sign_magnitude disagrees";
+      if Zint.equal a b <> (Limbs.compare la lb = 0) then
+        QCheck.Test.fail_reportf "equal disagrees";
+      if Zint.sign a <> Limbs.sign la then
+        QCheck.Test.fail_reportf "sign disagrees";
+      if Zint.to_int_opt a <> Limbs.to_int_opt la then
+        QCheck.Test.fail_reportf "to_int_opt disagrees";
+      if Zint.to_float a <> Limbs.to_float la then
+        QCheck.Test.fail_reportf "to_float disagrees";
+      if not (Limbs.is_zero lb) then begin
+        let q, r = Zint.divmod a b and lq, lr = Limbs.divmod la lb in
+        agree "divmod quotient" q lq;
+        agree "divmod remainder" r lr;
+        agree "div" (Zint.div a b) lq;
+        agree "rem" (Zint.rem a b) lr;
+        agree "fdiv" (Zint.fdiv a b) (limbs_fdiv la lb);
+        agree "cdiv" (Zint.cdiv a b) (limbs_cdiv la lb);
+        agree "fmod" (Zint.fmod a b)
+          (Limbs.sub la (Limbs.mul lb (limbs_fdiv la lb)));
+        agree "divexact" (Zint.divexact (Zint.mul a b) b) la
+      end;
+      true)
+
+let test_int_boundaries () =
+  let two62 = "4611686018427387904" in
+  check_z "neg min_int" two62 (Zint.neg (z min_int));
+  check_z "abs min_int" two62 (Zint.abs (z min_int));
+  check_z "min_int / -1" two62 (Zint.div (z min_int) (z (-1)));
+  check_z "min_int mod -1" "0" (Zint.rem (z min_int) (z (-1)));
+  check_z "fdiv min_int -1" two62 (Zint.fdiv (z min_int) (z (-1)));
+  check_z "-1 * min_int" two62 (Zint.mul (z (-1)) (z min_int));
+  check_z "min_int * -1" two62 (Zint.mul (z min_int) (z (-1)));
+  check_z "max_int + 1" two62 (Zint.add (z max_int) Zint.one);
+  check_z "min_int - 1" "-4611686018427387905" (Zint.sub (z min_int) Zint.one);
+  check_z "gcd min_int 0" two62 (Zint.gcd (z min_int) Zint.zero);
+  check_z "gcd min_int min_int" two62 (Zint.gcd (z min_int) (z min_int));
+  check_z "gcd min_int 6" "2" (Zint.gcd (z min_int) (z 6));
+  check_z "1 << 62" two62 (Zint.shift_left Zint.one 62);
+  check_z "-1 << 62" (string_of_int min_int)
+    (Zint.shift_left Zint.minus_one 62);
+  (* a limb result that comes back into range is an int again *)
+  let back = Zint.sub (Zint.add (z max_int) Zint.one) Zint.one in
+  Alcotest.(check (option int)) "back into range" (Some max_int)
+    (Zint.to_int_opt back);
+  Alcotest.(check bool) "canonical" true (Zint.is_canonical back);
+  Alcotest.(check bool) "neg (neg min_int) canonical" true
+    (Zint.is_canonical (Zint.neg (Zint.neg (z min_int))))
+
 (* --- Q tests ----------------------------------------------------------- *)
 
 let q = Q.of_ints
@@ -213,13 +333,50 @@ let prop_q_inv_involutive =
       QCheck.assume (not (Q.is_zero a));
       Q.equal a (Q.inv (Q.inv a)))
 
+(* Q's integer fast paths skip [make]; they must give exactly what the
+   general path gives. *)
+let q_gen =
+  let open QCheck.Gen in
+  let zi = map zint_of_limbs limbs_gen in
+  frequency
+    [ (3, map Q.of_zint zi);
+      (2, map2 (fun n d -> if Zint.is_zero d then Q.of_zint n else Q.make n d)
+            zi zi);
+      (1, return Q.zero) ]
+
+let q_arb = QCheck.make ~print:Q.to_string q_gen
+
+let prop_q_fast_paths =
+  QCheck.Test.make ~name:"q fast paths match make" ~count:2000
+    (QCheck.pair q_arb q_arb)
+    (fun (a, b) ->
+      let n = Q.num and d = Q.den in
+      let general_add x y =
+        Q.make (Zint.add (Zint.mul (n x) (d y)) (Zint.mul (n y) (d x)))
+          (Zint.mul (d x) (d y))
+      in
+      let check name r e =
+        if not (Q.equal r e) then
+          QCheck.Test.fail_reportf "%s: got %s, make says %s" name
+            (Q.to_string r) (Q.to_string e);
+        if not (Zint.is_canonical (n r) && Zint.is_canonical (d r)) then
+          QCheck.Test.fail_reportf "%s: non-canonical %s" name (Q.to_string r)
+      in
+      check "add" (Q.add a b) (general_add a b);
+      check "sub" (Q.sub a b) (general_add a (Q.neg b));
+      check "mul" (Q.mul a b)
+        (Q.make (Zint.mul (n a) (n b)) (Zint.mul (d a) (d b)));
+      Q.compare a b
+      = Zint.compare (Zint.mul (n a) (d b)) (Zint.mul (n b) (d a)))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
       [ prop_add_matches_int; prop_mul_matches_int; prop_divmod_reconstruct;
         prop_string_roundtrip; prop_gcd_divides; prop_mul_associative;
         prop_fdiv_floor; prop_q_add_comm; prop_q_distributive;
-        prop_q_floor_le; prop_q_inv_involutive ]
+        prop_q_floor_le; prop_q_inv_involutive; prop_zint_matches_limbs;
+        prop_q_fast_paths ]
   in
   Alcotest.run "arith"
     [
@@ -236,6 +393,7 @@ let () =
           Alcotest.test_case "big division" `Quick test_big_division;
           Alcotest.test_case "shift left" `Quick test_shift_left;
           Alcotest.test_case "total order" `Quick test_compare_total_order;
+          Alcotest.test_case "int boundaries" `Quick test_int_boundaries;
         ] );
       ( "q",
         [

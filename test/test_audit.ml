@@ -243,6 +243,56 @@ let test_compare_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "artifact without sections must be rejected"
 
+(* solver work in the compile_profile section is gated at zero
+   tolerance: one extra pivot fails, even with wall time unchanged *)
+let with_solver_work ~calls ~pivots ~nodes a =
+  let counters = Json.Obj [ ("simplex.pivots", Json.Float pivots) ] in
+  let profile =
+    Json.Obj
+      [ ("schema", Json.Str "emsc-compile-profile/1");
+        ( "passes",
+          Json.Obj
+            [ ( "simplex.minimize",
+                Json.Obj
+                  [ ("calls", Json.Int calls); ("self_ms", Json.Float 5.0) ] )
+            ] );
+        ( "stacks",
+          Json.List
+            [ Json.Obj
+                [ ("stack", Json.Str "driver.plan;simplex.minimize");
+                  ("calls", Json.Int calls); ("counters", counters) ];
+              Json.Obj
+                [ ("stack", Json.Str "driver.plan;pip.minimize");
+                  ("calls", Json.Int 1);
+                  ( "counters",
+                    Json.Obj [ ("pip.nodes", Json.Float nodes) ] ) ] ] ) ]
+  in
+  match a with
+  | Json.Obj fields -> Json.Obj (fields @ [ ("compile_profile", profile) ])
+  | _ -> assert false
+
+let test_compare_solver_work () =
+  let old_a = with_solver_work ~calls:100 ~pivots:500.0 ~nodes:7.0 (base ()) in
+  let same = with_solver_work ~calls:100 ~pivots:500.0 ~nodes:7.0 (base ()) in
+  checkb "same work passes" true (BC.ok (compare_exn old_a same));
+  let one_more =
+    with_solver_work ~calls:100 ~pivots:501.0 ~nodes:7.0 (base ())
+  in
+  let r = compare_exn old_a one_more in
+  checkb "one extra pivot fails" false (BC.ok r);
+  (match r.BC.r_regressions with
+   | [ c ] ->
+     Alcotest.check Alcotest.string "key" "simplex.pivots" c.BC.c_key;
+     Alcotest.check Alcotest.string "metric" "solver_work" c.BC.c_metric
+   | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
+  let fewer = with_solver_work ~calls:99 ~pivots:480.0 ~nodes:7.0 (base ()) in
+  checkb "less work passes" true (BC.ok (compare_exn old_a fewer));
+  let r = compare_exn (base ()) old_a in
+  checkb "absent in old passes" true (BC.ok r);
+  List.iter (fun k ->
+    checkb (k ^ " added") true (List.mem (k ^ "/solver_work") r.BC.r_added))
+    [ "simplex.minimize.calls"; "simplex.pivots"; "pip.nodes" ]
+
 let () =
   Alcotest.run "audit"
     [ ( "audit",
@@ -260,4 +310,6 @@ let () =
           Alcotest.test_case "missing+added" `Quick
             test_compare_missing_and_added;
           Alcotest.test_case "improvement" `Quick test_compare_improvement;
-          Alcotest.test_case "malformed" `Quick test_compare_malformed ] ) ]
+          Alcotest.test_case "malformed" `Quick test_compare_malformed;
+          Alcotest.test_case "solver-work" `Quick test_compare_solver_work ]
+      ) ]

@@ -28,6 +28,21 @@ let test_simplify_minmax () =
   Alcotest.(check int) "min flattened" 3
     (Zint.to_int_exn (Ast.eval env (Ast.simplify e)))
 
+(* Min/max operands are sorted only to get a canonical form, but the
+   order shows in the generated code.  It is the order polymorphic
+   compare gave the former sign-magnitude Zint: negative constants by
+   magnitude first, then zero and positive ones. *)
+let test_minmax_operand_order () =
+  let shifted cs = List.map (fun c -> Ast.Add (v "i", i_ c)) cs in
+  let show e = Format.asprintf "%a" Ast.pp_aexpr (Ast.simplify e) in
+  Alcotest.(check string) "min order"
+    "min(i + -3, i + -5, i + -1099511627776, i + 1, i + 2, \
+     i + 1099511627776)"
+    (show (Ast.Min (shifted [ 2; -5; 1; -3; 1 lsl 40; -(1 lsl 40) ])));
+  Alcotest.(check string) "max order" "max(-2*j, -7*j, 3*j, 5*j)"
+    (show (Ast.Max (List.map (fun c -> Ast.Mul (Zint.of_int c, v "j"))
+                      [ -2; 3; -7; 5 ])))
+
 let aexpr_gen =
   let open QCheck.Gen in
   let rec gen depth =
@@ -240,6 +255,8 @@ let () =
         [
           Alcotest.test_case "linear folding" `Quick test_simplify_linear;
           Alcotest.test_case "min/max flattening" `Quick test_simplify_minmax;
+          Alcotest.test_case "min/max operand order" `Quick
+            test_minmax_operand_order;
           Alcotest.test_case "vec to expr" `Quick test_vec_to_aexpr;
           Alcotest.test_case "free variables" `Quick test_free_vars;
           QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;

@@ -100,6 +100,34 @@ let test_partitions () =
   in
   Alcotest.(check (list int)) "A partition sizes" [ 1; 2 ] sizes
 
+(* Partitions are listed in a canonical order that shows in buffer
+   names.  It is the order polymorphic compare gave the former
+   sign-magnitude Zint, so among access maps a coefficient of -1 sorts
+   before -2. *)
+let test_partition_order () =
+  let acc k c = Prog.mk_access ~array:"A" ~kind:Prog.Read ~rows:[ [ k; c ] ] in
+  let w = Prog.mk_access ~array:"C" ~kind:Prog.Write ~rows:[ [ 1; 0 ] ] in
+  let s =
+    Build.stmt ~id:1 ~name:"S" ~np:0 ~depth:1
+      ~domain:(Build.box_domain ~np:0 [ (0, 10) ])
+      ~writes:[ w ]
+      ~reads:[ acc (-2) 50; acc (-1) 100 ]
+      ~body:(w, Prog.Eadd (Prog.Eref (acc (-2) 50), Prog.Eref (acc (-1) 100)))
+      ~beta:[ 0; 0 ] ()
+  in
+  let p =
+    { Prog.params = [||];
+      arrays = [ Build.array1 "A" 128 ~np:0; Build.array1 "C" 16 ~np:0 ];
+      stmts = [ s ] }
+  in
+  let first_coeff (part : Dataspaces.partition) =
+    match part.Dataspaces.members with
+    | d :: _ -> Zint.to_int_exn d.Dataspaces.access.Prog.map.(0).(0)
+    | [] -> Alcotest.fail "empty partition"
+  in
+  Alcotest.(check (list int)) "partition order" [ -1; -2 ]
+    (List.map first_coeff (Dataspaces.partition_array p "A"))
+
 (* --- Algorithm 1 -------------------------------------------------------- *)
 
 let test_reuse_rank () =
@@ -546,6 +574,7 @@ let () =
         [
           Alcotest.test_case "spaces of array" `Quick test_spaces_of_array;
           Alcotest.test_case "partitions" `Quick test_partitions;
+          Alcotest.test_case "partition order" `Quick test_partition_order;
           Alcotest.test_case "program validates" `Quick test_fig1_validates;
         ] );
       ( "reuse",

@@ -159,6 +159,35 @@ let test_corrupt_entry_is_miss () =
   let c = compile_ok ~cache:(Cache.create ~dir ()) (src ()) in
   Alcotest.(check int) "corrupt entries all miss" 0 c.Pipeline.cache_hits
 
+(* The format version is the only type witness of a stored value.  An
+   entry written by the "/1" format, whose Zint was an all-limbs
+   record, must be a miss under the current key, never decoded as the
+   current Zint. *)
+type v1_zint = { sign : int; mag : int array }
+
+let test_v1_entry_is_miss () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "emsc-test-v1-%d" (Unix.getpid ()))
+  in
+  let cache = Cache.create ~dir () in
+  let v1_key =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x00" [ "emsc-driver-cache/1"; "d"; "plan"; "" ]))
+  in
+  let key = Cache.key ~digest:"d" ~stage:"plan" ~extra:"" in
+  Alcotest.(check bool) "key differs from the /1 key" true (key <> v1_key);
+  let oc = open_out_bin (Filename.concat dir v1_key) in
+  Marshal.to_channel oc { sign = -1; mag = [| 5 |] } [];
+  close_out oc;
+  Alcotest.(check (option string)) "/1 entry not found under current key"
+    None (Option.map Emsc_arith.Zint.to_string (Cache.find cache ~key));
+  let v, hit = Cache.memo cache ~key (fun () -> Emsc_arith.Zint.of_int (-5)) in
+  Alcotest.(check bool) "memo recomputes" false hit;
+  Alcotest.(check string) "fresh value" "-5" (Emsc_arith.Zint.to_string v);
+  Alcotest.(check int) "no disk hit" 0 (Cache.disk_hits cache)
+
 let test_failing_writer_leaves_no_tmp () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -441,6 +470,8 @@ let () =
           Alcotest.test_case "disk persistence" `Quick test_disk_persistence;
           Alcotest.test_case "corrupt entry is a miss" `Quick
             test_corrupt_entry_is_miss;
+          Alcotest.test_case "format /1 entry is a miss" `Quick
+            test_v1_entry_is_miss;
           Alcotest.test_case "failing writer leaks no tmp file" `Quick
             test_failing_writer_leaves_no_tmp ] );
       ( "lru",

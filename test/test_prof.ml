@@ -207,6 +207,39 @@ let test_collapsed_deterministic_for_fixed_compile () =
          lines))
 
 (* ------------------------------------------------------------------ *)
+(* Solver work on the kernel suite, pinned                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact LP calls, pivots and branch-and-bound nodes for one cold
+   compile of every suite kernel.  Arithmetic and pivot-cost changes
+   must leave all three unchanged: they move only when a change alters
+   which LPs are solved or which pivots Bland's rule takes. *)
+let test_suite_solver_work_pinned () =
+  let open Emsc_driver in
+  with_prof (fun () ->
+    List.iter (fun job ->
+      match Pipeline.compile ~cache:Cache.off job with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "compile failed: %s" (Frontend.error_message e))
+      (Emsc_kernels.Suite.jobs ());
+    let prof = Prof.snapshot () in
+    let leaf f = List.nth f.Prof.f_stack (List.length f.Prof.f_stack - 1) in
+    let calls name =
+      List.fold_left (fun acc f ->
+        if leaf f = name then acc + f.Prof.f_calls else acc) 0 prof
+    in
+    let counter name =
+      List.fold_left (fun acc f ->
+        acc + int_of_float
+                (Option.value ~default:0.0
+                   (List.assoc_opt name f.Prof.f_counters))) 0 prof
+    in
+    checki "simplex.minimize calls" 4803 (calls "simplex.minimize");
+    checki "simplex.pivots" 74333 (counter "simplex.pivots");
+    checki "pip.nodes" 1910 (counter "pip.nodes"))
+
+(* ------------------------------------------------------------------ *)
 (* Histogram quantiles                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -377,6 +410,9 @@ let () =
       ( "export",
         [ Alcotest.test_case "collapsed deterministic for a fixed compile"
             `Quick test_collapsed_deterministic_for_fixed_compile ] );
+      ( "solver-work",
+        [ Alcotest.test_case "kernel suite counts pinned" `Quick
+            test_suite_solver_work_pinned ] );
       ( "metrics",
         [ Alcotest.test_case "histogram quantiles" `Quick
             test_metrics_quantiles ] );
