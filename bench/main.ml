@@ -24,7 +24,7 @@ open Emsc_kernels
 open Emsc_driver
 
 let gpu_hier = Emsc_machine.Hierarchy.gtx8800
-let gpu = Emsc_machine.Hierarchy.to_gpu_exn gpu_hier
+let gpu_word_bytes = (Hierarchy.staging gpu_hier).Hierarchy.l_word_bytes
 let cpu_hier = Emsc_machine.Hierarchy.core2duo_cache_as_scratchpad
 
 (* CPU-baseline ms for a run: cache-simulate the hierarchy's cache
@@ -152,6 +152,7 @@ let write_bench_json ~figure_ms =
       kernel_counters []
     |> List.sort compare
   in
+  let prof = Emsc_obs.Prof.snapshot () in
   let j =
     J.Obj
       [ ("schema", J.Str "emsc-bench/1");
@@ -176,17 +177,12 @@ let write_bench_json ~figure_ms =
         ("metrics", Emsc_obs.Metrics.snapshot_json (Emsc_obs.Metrics.snapshot ()));
         ( "pass_cache",
           Emsc_driver.Cache.stats_json bench_cache );
-        ("pass_timings", Emsc_obs.Trace.aggregate_json ());
+        ("pass_timings", Emsc_obs.Prof.pass_timings_json prof);
         (* per-pass self times with caller stacks; bench-compare uses
            this to attribute a wall regression to the offending pass *)
-        ("compile_profile", Emsc_obs.Prof.json (Emsc_obs.Prof.snapshot ())) ]
+        ("compile_profile", Emsc_obs.Prof.json prof) ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string ~pretty:true j);
-      output_char oc '\n');
+  Emsc_obs.Io.write_file path (J.to_string ~pretty:true j ^ "\n");
   pf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -211,8 +207,7 @@ let run_me ~ni ~nj ~tiles ~smem =
     else 0
   in
   let fp_bytes =
-    Timing.effective_smem_bytes ~double_buffer:false
-      ~word_bytes:gpu.Config.word_bytes fp_words
+    Hierarchy.effective_words ~double_buffer:false fp_words * gpu_word_bytes
   in
   let params =
     { Timing.threads = me_threads;
@@ -223,7 +218,7 @@ let run_me ~ni ~nj ~tiles ~smem =
       coalesce_eff = (if smem then 16.0 else 4.0);
       global_sync = false; double_buffer = false }
   in
-  { me_ms = Timing.gpu_total_ms gpu params result;
+  { me_ms = Timing.total_ms gpu_hier params result;
     me_fp_bytes = fp_bytes }
 
 (* CPU baseline: full interpretation with cache simulation at a small
@@ -292,7 +287,7 @@ let fig6 () =
       pf " %10.1f" r.me_ms)
       sizes;
     pf " %10dB%s\n" !fp
-      (if !fp > gpu.Config.smem_bytes then "  <- exceeds 16KB" else ""))
+      (if !fp > Hierarchy.staging_capacity_words gpu_hier * gpu_word_bytes then "  <- exceeds 16KB" else ""))
     me_tile_candidates;
   (* and what does the Section 4.3 search pick?  Run it as the
      pipeline's tilesearch stage. *)
@@ -355,12 +350,12 @@ let run_jacobi ~n ~ts ~tt =
   let params =
     { Timing.threads = jac_threads;
       smem_bytes_per_block =
-        Timing.effective_smem_bytes ~double_buffer:false
-          ~word_bytes:gpu.Config.word_bytes k.Stencil.smem_words;
+        Hierarchy.effective_words ~double_buffer:false k.Stencil.smem_words
+        * gpu_word_bytes;
       coalesce_eff = 16.0;
       global_sync = true; double_buffer = false }
   in
-  Timing.gpu_total_ms gpu params result
+  Timing.total_ms gpu_hier params result
 
 let run_jacobi_dram ~n ~ts =
   let p = Jacobi1d.program ~n ~steps:jac_steps in
@@ -373,7 +368,7 @@ let run_jacobi_dram ~n ~ts =
     { Timing.threads = jac_threads; smem_bytes_per_block = 0;
       coalesce_eff = 3.5; global_sync = true; double_buffer = false }
   in
-  Timing.gpu_total_ms gpu params result
+  Timing.total_ms gpu_hier params result
 
 let jac_cpu_ms_per_cell =
   lazy
@@ -571,12 +566,12 @@ let ablations () =
     let fp =
       match
         Timing.plan_smem_bytes ~double_buffer:double
-          ~word_bytes:gpu.Config.word_bytes plan Runner.zero_env
+          ~word_bytes:gpu_word_bytes plan Runner.zero_env
       with
       | Some b -> b
       | None -> failwith "bench: symbolic footprint"
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu_hier
       { Timing.threads = me_threads;
         smem_bytes_per_block = fp;
         coalesce_eff = 16.0; global_sync = false; double_buffer = double }
@@ -1395,11 +1390,9 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ -> List.map fst all_figs
   in
-  (* pass timings in the artifact come from the tracing layer; counter
-     totals (pass cache, exec movement, fuzz progress) from the
-     metrics registry; per-pass self times with caller attribution
-     from the self-profiler *)
-  Emsc_obs.Trace.enable ();
+  (* counter totals (pass cache, exec movement, fuzz progress) in the
+     artifact come from the metrics registry; pass timings and per-pass
+     self times with caller attribution from the self-profiler *)
   Emsc_obs.Metrics.enable ();
   Emsc_obs.Prof.enable ();
   let figure_ms =

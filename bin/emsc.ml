@@ -38,37 +38,34 @@ let die e =
 
 let ok_or_die = function Ok v -> v | Error e -> die e
 
-(* run [f] with tracing directed at [path] (when given); the trace file
-   is written even when [f] fails, so aborted compilations can still be
-   inspected *)
+(* run [f] with probes and their span tree on, directed at [path] (when
+   given); the trace file is written even when [f] fails, so aborted
+   compilations can still be inspected *)
 let with_trace trace f =
   match trace with
   | None -> f ()
   | Some path ->
-    Trace.reset ();
-    Trace.enable ();
+    let prof_was_on = Prof.enabled () in
+    Prof.reset ();
+    Prof.enable ();
+    Prof.enable_tree ();
     Fun.protect
       ~finally:(fun () ->
         (* tracing must not destroy the command's result; the merged
            export appends runtime tracks (per-domain timelines, DMA
            lanes) when the command recorded events, and is exactly the
-           compile trace otherwise *)
+           span tree otherwise *)
         (try Events.write_merged_chrome path
          with Sys_error e -> Printf.eprintf "emsc: cannot write trace: %s\n" e);
-        Trace.disable ())
+        Prof.disable_tree ();
+        if not prof_was_on then Prof.disable ())
       f
 
 let emit_json out j =
   let s = Json.to_string ~pretty:true j in
   match out with
   | None -> print_string s; print_newline ()
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc s;
-        output_char oc '\n')
+  | Some path -> Io.write_file path (s ^ "\n")
 
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
@@ -503,7 +500,6 @@ let run_cmd =
 let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
     ~optimize_movement ~inter_tile_reuse ~spec ~threads ~global_sync ~backend
     ~jobs ~policy ~double_buffer ~runtime =
-  let gpu_config = Emsc_machine.Hierarchy.to_gpu_exn hier in
   let capacity_words = capacity_words_of hier in
   let options =
     { Options.default with
@@ -561,7 +557,9 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
               (List.map (fun (e, w) -> (e, Json.Int w)) edges) ) ]
     end
   in
-  let word_bytes = gpu_config.Emsc_machine.Config.word_bytes in
+  let word_bytes =
+    (Emsc_machine.Hierarchy.staging hier).Emsc_machine.Hierarchy.l_word_bytes
+  in
   let smem_bytes =
     match
       Emsc_machine.Timing.plan_smem_bytes ~double_buffer ~word_bytes plan
@@ -583,7 +581,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
          | `Seq -> "seq"
          | `Parallel -> Printf.sprintf "parallel-j%d" (max 1 jobs)) );
     ("plan", Plan.explain_json ~capacity_words plan);
-    ("profile", Emsc_machine.Timing.profile_json gpu_config gp result);
+    ("profile", Emsc_machine.Timing.profile_json hier gp result);
     ("hierarchy", hierarchy_json);
     ("pipeline", Pipeline.report_json c);
     (* histograms in here carry p50/p95/p99 summaries — the per-stage
@@ -596,7 +594,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
        breakdown under the same parameters the profile reports *)
     let model =
       match result.Emsc_machine.Exec.launches with
-      | l :: _ -> Some (Emsc_machine.Timing.gpu_launch_breakdown gpu_config gp l)
+      | l :: _ -> Some (Emsc_machine.Timing.launch_breakdown hier gp l)
       | [] -> None
     in
     [ ("runtime_report", runtime_report_json ?model ~double_buffer r) ]
@@ -663,9 +661,12 @@ let profile_cmd =
   let run file machine arch merge delta optimize_movement inter_tile_reuse
       block mem thread threads global_sync backend jobs policy double_buffer
       runtime hotspots collapsed params trace no_cache cache_dir out =
-    with_trace trace @@ fun () ->
+    (* --trace turns probes on for its span tree; the compile_profile
+       section stays reserved for --hotspots and EMSC_PROF runs *)
     let prof_was_on = Prof.enabled () in
-    if hotspots && not prof_was_on then begin
+    with_trace trace @@ fun () ->
+    let own_prof = hotspots && not (Prof.enabled ()) in
+    if own_prof then begin
       Prof.reset ();
       Prof.enable ()
     end;
@@ -713,12 +714,12 @@ let profile_cmd =
       else cpu_profile ~hier p ~params
     in
     let fields =
-      if Trace.enabled () then
-        fields @ [ ("pass_timings", Trace.aggregate_json ()) ]
+      if trace <> None then
+        fields @ [ ("pass_timings", Prof.pass_timings_json (Prof.snapshot ())) ]
       else fields
     in
     let fields =
-      if Prof.enabled () then begin
+      if hotspots || prof_was_on then begin
         let wall_ms = (Unix.gettimeofday () -. t_start) *. 1000.0 in
         let prof = Prof.snapshot () in
         if hotspots then begin
@@ -730,7 +731,7 @@ let profile_cmd =
       end
       else fields
     in
-    if hotspots && not prof_was_on then begin
+    if own_prof then begin
       Prof.disable ();
       Prof.reset ()
     end;

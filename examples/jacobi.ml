@@ -13,7 +13,8 @@ open Emsc_machine
 open Emsc_driver
 open Emsc_kernels
 
-let gpu = Config.gtx8800
+let gpu = Hierarchy.gtx8800
+let word_bytes = (Hierarchy.staging gpu).Hierarchy.l_word_bytes
 
 let () =
   (* 1. the transform story: Jacobi needs skewing to tile *)
@@ -68,10 +69,10 @@ let () =
         ~locals:kernel.Stencil.locals ~memory:Runner.Phantom
         kernel.Stencil.ast
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu
       { Timing.threads = 64;
         smem_bytes_per_block =
-          kernel.Stencil.smem_words * gpu.Config.word_bytes;
+          kernel.Stencil.smem_words * word_bytes;
         coalesce_eff = coalesce; global_sync = true; double_buffer = false }
       r
   in

@@ -15,7 +15,8 @@ open Emsc_machine
 open Emsc_driver
 open Emsc_kernels
 
-let gpu = Config.gtx8800
+let gpu = Hierarchy.gtx8800
+let word_bytes = (Hierarchy.staging gpu).Hierarchy.l_word_bytes
 
 let build ~ni ~nj ~ws ~tiles ~smem =
   match Pipeline.compile (Me.job ~ni ~nj ~ws ~tiles ~stage_data:smem ()) with
@@ -52,10 +53,10 @@ let () =
     let fp =
       if smem then
         Zint.to_int_exn (Plan.total_footprint plan Runner.zero_env)
-        * gpu.Config.word_bytes
+        * word_bytes
       else 0
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu
       { Timing.threads = 256; smem_bytes_per_block = fp;
         coalesce_eff = (if smem then 16.0 else 4.0); global_sync = false;
         double_buffer = false }

@@ -486,7 +486,7 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
   match c.Pipeline.plan with
   | None -> Skipped "pipeline stops before planning"
   | Some plan ->
-    Emsc_obs.Trace.span "audit.run" @@ fun () ->
+    Emsc_obs.Prof.probe "audit.run" @@ fun () ->
     let staging = c.Pipeline.options.Options.stage_data in
     let was_on = Metrics.enabled () in
     let measured =
@@ -559,17 +559,19 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
                quantity "global_words" g_pred (Exec.total_global totals);
                quantity "smem_words" s_pred (Exec.total_smem totals) ]
            in
-           let gpu = Hierarchy.to_gpu_exn hierarchy in
-           let word_bytes = gpu.Config.word_bytes in
+           let word_bytes =
+             (Hierarchy.staging hierarchy).Hierarchy.l_word_bytes
+           in
            let smem_bytes =
              match
                Timing.plan_smem_bytes ~double_buffer ~word_bytes plan env
              with
              | Some b when staging -> b
              | _ ->
-               Timing.effective_smem_bytes ~double_buffer ~word_bytes
+               Hierarchy.effective_words ~double_buffer
                  (Timing.default_params.Timing.smem_bytes_per_block
                   / word_bytes)
+               * word_bytes
            in
            let params =
              { Timing.default_params with
@@ -577,7 +579,7 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
                Timing.double_buffer }
            in
            let breakdown cs =
-             Timing.gpu_launch_breakdown gpu params
+             Timing.launch_breakdown hierarchy params
                { Exec.grid = 1.0; per_block = cs; repeat = 1.0 }
            in
            let pc = Exec.fresh () in

@@ -196,7 +196,7 @@ let check_suite_job ~backend ~capacity_words ~hierarchy (job : Pipeline.job) =
 
 let run ?(backend = `Seq) ?(fuzz = 50) ?(seed = 1) ?(capacity_words = 4096)
     ?hierarchy ?(inter_tile = false) ?(progress = fun _ -> ()) () =
-  Emsc_obs.Trace.span "check.run" @@ fun () ->
+  Emsc_obs.Prof.probe "check.run" @@ fun () ->
   let checks = ref 0 and failures = ref [] in
   for i = 0 to fuzz - 1 do
     let c, fs =

@@ -43,23 +43,22 @@ let prepare ?(memory = Zeroed) ~param_env (p : Prog.t) =
 type backend = [ `Seq | `Par of int ]
 
 (* Parallel runs honor the machine's concurrent-blocks rule: at most
-   [occupancy * num_mimd] arenas live at once, with occupancy derived
+   [occupancy * fanout] arenas live at once, with occupancy derived
    from the block's effective scratchpad need (doubled when
-   double-buffering keeps two windows resident).  The machine defaults
-   to the paper's GPU; any hierarchy works through its staging-level
-   projection. *)
+   double-buffering keeps two windows resident) at the staging level.
+   The machine defaults to the paper's GPU. *)
 let par_cfg ?(hierarchy = Hierarchy.gtx8800) ~jobs ~policy ~double_buffer
     ~track_ownership ~block_words ?(inter_tile_reuse = false) () =
-  let g = Hierarchy.to_gpu_exn hierarchy in
+  let s = Hierarchy.staging hierarchy in
   let occ =
-    Timing.occupancy g
+    Timing.occupancy hierarchy
       ~smem_bytes_per_block:
-        (Timing.effective_smem_bytes ~double_buffer
-           ~word_bytes:g.Config.word_bytes block_words)
+        (Hierarchy.effective_words ~double_buffer block_words
+         * s.Hierarchy.l_word_bytes)
   in
   { (Emsc_runtime.Runtime.default_cfg ~jobs) with
     Emsc_runtime.Runtime.policy; double_buffer; track_ownership;
-    max_concurrent_blocks = Some (occ * g.Config.num_mimd);
+    max_concurrent_blocks = Some (occ * s.Hierarchy.l_fanout);
     block_words; inter_tile_reuse }
 
 let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
@@ -72,7 +71,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
   let result =
     match backend with
     | `Seq ->
-      Trace.span "driver.execute" @@ fun () ->
+      Prof.probe "driver.execute" @@ fun () ->
       Exec.run ~prog ?local_ref ~param_env ~memory:m ~mode ?on_global ast
     | `Par jobs ->
       (* parallel execution is Full-fidelity by construction: sampling
@@ -81,7 +80,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
         par_cfg ?hierarchy ~jobs ~policy ~double_buffer ~track_ownership
           ~block_words ~inter_tile_reuse ()
       in
-      Trace.span "driver.execute" @@ fun () ->
+      Prof.probe "driver.execute" @@ fun () ->
       Emsc_runtime.Runtime.run ~prog ?local_ref ~param_env ~memory:m
         ?on_global ~cfg ast
   in
@@ -147,7 +146,7 @@ let with_runtime_report ?capacity f =
 let reference ?memory ?(param_env = no_params) ?on_global (p : Prog.t) =
   let m = prepare ?memory ~param_env p in
   let counters =
-    Trace.span "driver.reference" @@ fun () ->
+    Prof.probe "driver.reference" @@ fun () ->
     Reference.run p ~param_env m ?on_global ()
   in
   (m, counters)

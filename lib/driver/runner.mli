@@ -57,14 +57,14 @@ val execute :
   Emsc_codegen.Ast.stm list ->
   Memory.t * Exec.result
 (** Run an AST: prepare memory, declare [locals], execute under a
-    ["driver.execute"] trace span.  Defaults: [Zeroed] memory,
+    ["driver.execute"] probe.  Defaults: [Zeroed] memory,
     [Sampled 6] mode, parameter-free env, [`Seq] backend.  With
     [`Par], [mode] is ignored ([Full] by construction), [block_words]
     sizes each block's scratchpad arena, [double_buffer] turns on the
     async DMA pipeline, and the concurrent-arena cap follows
     [Timing.occupancy] over the effective (buffering-adjusted)
-    footprint against [hierarchy] (default {!Hierarchy.gtx8800},
-    through its staging-level projection).  [inter_tile_reuse] switches
+    footprint at the staging level of [hierarchy] (default
+    {!Hierarchy.gtx8800}).  [inter_tile_reuse] switches
     the parallel executor to chain-aware scheduling (one arena per
     chain of consecutive blocks) so the plan's resident slabs survive
     between blocks — required when the AST carries delta-movement

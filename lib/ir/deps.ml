@@ -51,7 +51,7 @@ let kind_of src_k dst_k =
   | Prog.Read, Prog.Read -> None
 
 let analyze ?context p =
-  Emsc_obs.Trace.span "deps.analyze" @@ fun () ->
+  Emsc_obs.Prof.probe "deps.analyze" @@ fun () ->
   let p = Prog.pad_schedules p in
   let np = Prog.nparams p in
   let sched_rows = Prog.max_schedule_rows p in
@@ -122,9 +122,9 @@ let analyze ?context p =
           | empty -> not empty
           | exception Emsc_pip.Ilp.Gave_up -> true
       in
-      Emsc_obs.Trace.count "deps.levels_tested" 1.0;
+      Emsc_obs.Prof.add "deps.levels_tested" 1.0;
       if nonempty then begin
-        Emsc_obs.Trace.count "deps.found" 1.0;
+        Emsc_obs.Prof.add "deps.found" 1.0;
         deps :=
           { src = s; dst = t; src_access = sa; dst_access = ta; kind; level;
             poly = dep_poly }

@@ -147,55 +147,17 @@ let validate h =
     match !err with Some msg -> Error msg | None -> Ok h
   end
 
-(* ------------------------------------------------------------------ *)
-(* Bridge to the 2-level GPU timing model                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The legacy [Config.gpu] record is exactly the staging-edge view of a
-   hierarchy: the level adjacent to the home provides the scratchpad
-   parameters and its parent edge the DRAM bandwidth/latency.  The
-   [gtx8800] built-in below maps onto [Config.gtx8800] field for field,
-   which is what keeps the hierarchy path bit-identical to the legacy
-   model (test/test_hierarchy.ml pins this). *)
-let to_gpu h : (Config.gpu, string) result =
-  let s = staging h in
-  match s.l_capacity_bytes, s.l_to_parent with
-  | None, _ -> Error (s.l_name ^ ": staging level has no capacity")
-  | _, None -> Error (s.l_name ^ ": staging level has no parent edge")
-  | Some cap, Some e ->
-    let c = h.h_compute in
-    Ok
-      { Config.num_mimd = s.l_fanout;
-        simd_per_mimd = c.c_simd_per_unit;
-        warp_size = c.c_warp_size;
-        smem_bytes = cap;
-        word_bytes = s.l_word_bytes;
-        clock_mhz = c.c_clock_mhz;
-        max_blocks_per_mimd = c.c_max_blocks_per_unit;
-        flop_cycles = c.c_flop_cycles;
-        smem_access_cycles = s.l_access_cycles;
-        global_latency = e.e_latency;
-        global_bw_words_per_cycle = e.e_bw_words_per_cycle;
-        coalesce_width = e.e_coalesce_width;
-        sync_cycles = c.c_sync_cycles;
-        global_sync_base = c.c_global_sync_base;
-        global_sync_per_block = c.c_global_sync_per_block;
-        launch_overhead_cycles = c.c_launch_overhead_cycles }
-
-let to_gpu_exn h =
-  match to_gpu h with
-  | Ok g -> g
-  | Error msg -> invalid_arg ("Hierarchy.to_gpu: " ^ h.h_name ^ ": " ^ msg)
-
 let ms_of_cycles h cycles = cycles /. (h.h_compute.c_clock_mhz *. 1000.0)
 
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* GeForce 8800 GTX, the paper's target: 16 multiprocessors with 16 KB
-   of scratchpad each over 86.4 GB/s DRAM.  The numbers mirror
-   [Config.gtx8800] exactly — this *is* that record, as data. *)
+(* GeForce 8800 GTX, the paper's target: 16 multiprocessors (8 SIMD
+   lanes each, warp size 32) at a 1350 MHz shader clock, with 16 KB of
+   scratchpad each over 86.4 GB/s DRAM (16 words per cycle) and a
+   ~400-600 cycle global latency.  Timing constants are first-order
+   calibrations, not cycle-accurate silicon. *)
 let gtx8800 =
   { h_name = "gtx8800";
     h_compute =
@@ -212,6 +174,8 @@ let gtx8800 =
       [ { l_name = "smem";
           l_capacity_bytes = Some 16384;
           l_word_bytes = 4;
+          (* effective cycles per scratchpad access, including the
+             address arithmetic real kernels spend per access *)
           l_access_cycles = 3.0;
           l_fanout = 16;
           l_line_bytes = None;

@@ -14,27 +14,28 @@ let default_params = {
   double_buffer = false;
 }
 
-(* The generalized per-level capacity rule lives in
-   [Hierarchy.effective_words]; these are its scratchpad-flavoured
-   aliases.  Every capacity comparison must go through them rather
-   than re-deriving the double-buffer factor — forgetting it was an
-   easy way to accept plans that cannot actually fit. *)
-let effective_smem_words = Hierarchy.effective_words
-
-let effective_smem_bytes ~double_buffer ~word_bytes words =
-  effective_smem_words ~double_buffer words * word_bytes
-
 let plan_smem_bytes ~double_buffer ~word_bytes plan env =
   match Emsc_arith.Zint.to_int_exn (Emsc_core.Plan.total_footprint plan env) with
-  | words -> Some (effective_smem_bytes ~double_buffer ~word_bytes words)
+  | words -> Some (Hierarchy.effective_words ~double_buffer words * word_bytes)
   | exception _ -> None
 
-let occupancy (g : Config.gpu) ~smem_bytes_per_block =
-  if smem_bytes_per_block <= 0 then g.Config.max_blocks_per_mimd
-  else
-    max 1
-      (min g.Config.max_blocks_per_mimd
-         (g.Config.smem_bytes / smem_bytes_per_block))
+(* The launch model reads three parts of the machine: the staging level
+   (the scratchpad plans stage into), its edge to the home level (DRAM
+   bandwidth and latency) and the compute block. *)
+let staging_edge h =
+  let s = Hierarchy.staging h in
+  match s.Hierarchy.l_capacity_bytes, s.Hierarchy.l_to_parent with
+  | Some cap, Some e -> (s, cap, e)
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Timing: %s: staging level %s needs a capacity and a \
+                       parent edge" (Hierarchy.name h) s.Hierarchy.l_name)
+
+let occupancy h ~smem_bytes_per_block =
+  let _, cap, _ = staging_edge h in
+  let max_blocks = (Hierarchy.compute h).Hierarchy.c_max_blocks_per_unit in
+  if smem_bytes_per_block <= 0 then max_blocks
+  else max 1 (min max_blocks (cap / smem_bytes_per_block))
 
 type breakdown = {
   occ : int;
@@ -51,40 +52,43 @@ type breakdown = {
   launch_cycles : float;
 }
 
-let gpu_launch_breakdown (g : Config.gpu) (p : gpu_params) (l : Exec.launch) =
-  let cb = occupancy g ~smem_bytes_per_block:p.smem_bytes_per_block in
+let launch_breakdown h (p : gpu_params) (l : Exec.launch) =
+  let s, _, e = staging_edge h in
+  let m = Hierarchy.compute h in
+  let cb = occupancy h ~smem_bytes_per_block:p.smem_bytes_per_block in
   (* blocks each multiprocessor executes over the launch; concurrent
      blocks (cb) time-share the MP's lanes, so they affect latency
      hiding and pipeline utilization, not aggregate throughput *)
   let blocks_per_mp =
     Float.of_int
-      (int_of_float (Float.ceil (l.Exec.grid /. float_of_int g.Config.num_mimd)))
+      (int_of_float
+         (Float.ceil (l.Exec.grid /. float_of_int s.Hierarchy.l_fanout)))
   in
   let c = l.Exec.per_block in
-  let lanes = float_of_int g.Config.simd_per_mimd in
+  let lanes = float_of_int m.Hierarchy.c_simd_per_unit in
   let warps_in_flight =
     Float.min 24.0
-      (float_of_int (p.threads * cb) /. float_of_int g.Config.warp_size)
+      (float_of_int (p.threads * cb) /. float_of_int m.Hierarchy.c_warp_size)
     |> Float.max 1.0
   in
   (* the G80 pipeline needs ~6 warps resident to cover register and
      smem latencies; below that, issue slots drain *)
   let pipeline_eff = Float.min 1.0 (warps_in_flight /. 6.0) in
   let t_comp =
-    ((c.Exec.flops *. g.Config.flop_cycles)
-     +. (Exec.total_smem c *. g.Config.smem_access_cycles))
+    ((c.Exec.flops *. m.Hierarchy.c_flop_cycles)
+     +. (Exec.total_smem c *. s.Hierarchy.l_access_cycles))
     /. (lanes *. pipeline_eff)
   in
   let gw = Exec.total_global c in
   let bw_per_mp =
-    g.Config.global_bw_words_per_cycle /. float_of_int g.Config.num_mimd
-    *. (p.coalesce_eff /. float_of_int g.Config.coalesce_width)
+    e.Hierarchy.e_bw_words_per_cycle /. float_of_int s.Hierarchy.l_fanout
+    *. (p.coalesce_eff /. float_of_int e.Hierarchy.e_coalesce_width)
   in
   let t_bw = gw /. bw_per_mp in
   let t_lat =
-    gw /. float_of_int p.threads *. g.Config.global_latency /. warps_in_flight
+    gw /. float_of_int p.threads *. e.Hierarchy.e_latency /. warps_in_flight
   in
-  let t_sync = c.Exec.syncs *. g.Config.sync_cycles in
+  let t_sync = c.Exec.syncs *. m.Hierarchy.c_sync_cycles in
   (* each movement phase drains the DRAM pipeline at its barrier —
      unless the kernel double-buffers, overlapping copies with the
      previous sub-tile's compute (the classic scratchpad extension;
@@ -92,51 +96,36 @@ let gpu_launch_breakdown (g : Config.gpu) (p : gpu_params) (l : Exec.launch) =
      smem_bytes_per_block) *)
   let t_fence =
     if p.double_buffer then 0.0
-    else c.Exec.fences *. g.Config.global_latency
+    else c.Exec.fences *. e.Hierarchy.e_latency
   in
   let t_block = Float.max t_comp (Float.max t_bw t_lat) +. t_sync +. t_fence in
   let global_sync_cycles =
     if p.global_sync then
-      g.Config.global_sync_base
-      +. (g.Config.global_sync_per_block *. l.Exec.grid)
+      m.Hierarchy.c_global_sync_base
+      +. (m.Hierarchy.c_global_sync_per_block *. l.Exec.grid)
     else 0.0
   in
   let launch_cycles =
-    (g.Config.launch_overhead_cycles +. global_sync_cycles
+    (m.Hierarchy.c_launch_overhead_cycles +. global_sync_cycles
      +. (blocks_per_mp *. t_block))
     *. l.Exec.repeat
   in
   { occ = cb; blocks_per_mp; warps_in_flight; pipeline_eff; t_comp; t_bw;
     t_lat; t_sync; t_fence; t_block; global_sync_cycles; launch_cycles }
 
-let gpu_launch_cycles g p l = (gpu_launch_breakdown g p l).launch_cycles
+let launch_cycles h p l = (launch_breakdown h p l).launch_cycles
 
-let gpu_total_ms g p (r : Exec.result) =
-  let cycles =
-    List.fold_left (fun acc l -> acc +. gpu_launch_cycles g p l) 0.0
-      r.Exec.launches
-  in
-  (* work outside any launch (host-side loops) is not timed: the
-     generated kernels put all computation inside block loops *)
-  Config.gpu_ms g cycles
+(* work outside any launch (host-side loops) is not timed: the
+   generated kernels put all computation inside block loops *)
+let total_cycles h p (r : Exec.result) =
+  List.fold_left (fun acc l -> acc +. launch_cycles h p l) 0.0 r.Exec.launches
 
-(* --- hierarchy front-end ------------------------------------------------ *)
-
-(* The hierarchy path projects onto the legacy 2-level record through
-   its staging level, so for [Hierarchy.gtx8800] every number below is
-   bit-identical to calling the [Config.gtx8800] entry points
-   directly (test/test_hierarchy.ml pins this). *)
-
-let launch_breakdown h p l = gpu_launch_breakdown (Hierarchy.to_gpu_exn h) p l
-
-let launch_cycles h p l = gpu_launch_cycles (Hierarchy.to_gpu_exn h) p l
-
-let hierarchy_total_ms h p r = gpu_total_ms (Hierarchy.to_gpu_exn h) p r
+let total_ms h p r = Hierarchy.ms_of_cycles h (total_cycles h p r)
 
 (* Cache-baseline timing over a cache-shaped hierarchy: one term per
    simulated level's hits plus the home accesses, same shape (and for
    [core2duo_cache_as_scratchpad], the same constants and float-op
-   order) as the old Config.cpu formula. *)
+   order) as the original Core2 Duo formula. *)
 let cache_total_ms (h : Hierarchy.t) ~flops ~hits ~home_accesses =
   let c = Hierarchy.compute h in
   let cached =
@@ -173,12 +162,12 @@ let breakdown_json b =
       ("global_sync_cycles", J.Float b.global_sync_cycles);
       ("launch_cycles", J.Float b.launch_cycles) ]
 
-let launch_json g p (l : Exec.launch) =
+let launch_json h p (l : Exec.launch) =
   J.Obj
     [ ("grid", J.Float l.Exec.grid);
       ("repeat", J.Float l.Exec.repeat);
       ("per_block", Exec.counters_json l.Exec.per_block);
-      ("breakdown", breakdown_json (gpu_launch_breakdown g p l)) ]
+      ("breakdown", breakdown_json (launch_breakdown h p l)) ]
 
 let params_json p =
   J.Obj
@@ -188,14 +177,11 @@ let params_json p =
       ("global_sync", J.Bool p.global_sync);
       ("double_buffer", J.Bool p.double_buffer) ]
 
-let profile_json g p (r : Exec.result) =
-  let cycles =
-    List.fold_left (fun acc l -> acc +. gpu_launch_cycles g p l) 0.0
-      r.Exec.launches
-  in
+let profile_json h p (r : Exec.result) =
+  let cycles = total_cycles h p r in
   J.Obj
     [ ("params", params_json p);
-      ("launches", J.List (List.map (launch_json g p) r.Exec.launches));
+      ("launches", J.List (List.map (launch_json h p) r.Exec.launches));
       ("totals", Exec.counters_json r.Exec.totals);
       ("total_cycles", J.Float cycles);
-      ("total_ms", J.Float (Config.gpu_ms g cycles)) ]
+      ("total_ms", J.Float (Hierarchy.ms_of_cycles h cycles)) ]

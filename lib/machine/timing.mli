@@ -25,15 +25,6 @@ type gpu_params = {
 
 val default_params : gpu_params
 
-val effective_smem_words : double_buffer:bool -> int -> int
-(** Scratchpad words a plan actually needs per block under the given
-    buffering mode: double buffering keeps two windows of every staged
-    buffer resident, doubling the footprint.  All capacity checks must
-    use this rather than the raw plan footprint. *)
-
-val effective_smem_bytes : double_buffer:bool -> word_bytes:int -> int -> int
-(** Same, in bytes: [effective_smem_words * word_bytes]. *)
-
 val plan_smem_bytes :
   double_buffer:bool -> word_bytes:int ->
   Emsc_core.Plan.t -> (string -> Emsc_arith.Zint.t) -> int option
@@ -41,8 +32,11 @@ val plan_smem_bytes :
     tile-size valuation), or [None] when a buffer footprint does not
     evaluate to a machine integer. *)
 
-val occupancy : Config.gpu -> smem_bytes_per_block:int -> int
-(** Concurrent blocks per multiprocessor. *)
+val occupancy : Hierarchy.t -> smem_bytes_per_block:int -> int
+(** Concurrent blocks per multiprocessor: the staging level's capacity
+    over the per-block need, capped by [c_max_blocks_per_unit].
+    Raises [Invalid_argument] when the staging level has no capacity
+    or no parent edge ({!Hierarchy.validate} rules both out). *)
 
 type breakdown = {
   occ : int;                 (** concurrent blocks per multiprocessor *)
@@ -62,22 +56,17 @@ type breakdown = {
     which resource (compute, bandwidth, latency, synchronization)
     bounds the kernel. *)
 
-val gpu_launch_breakdown : Config.gpu -> gpu_params -> Exec.launch -> breakdown
-val gpu_launch_cycles : Config.gpu -> gpu_params -> Exec.launch -> float
-(** [= (gpu_launch_breakdown g p l).launch_cycles] *)
-
-val gpu_total_ms : Config.gpu -> gpu_params -> Exec.result -> float
-
-(** {2 Hierarchy front-end}
-
-    The declarative machine path: projects the hierarchy onto the
-    2-level launch model through its staging level
-    ({!Hierarchy.to_gpu}), so for [Hierarchy.gtx8800] these are
-    bit-identical to the [Config.gtx8800] entry points. *)
-
 val launch_breakdown : Hierarchy.t -> gpu_params -> Exec.launch -> breakdown
+(** The launch model over the staging level (scratchpad capacity,
+    fan-out, access cost), its parent edge (DRAM bandwidth, latency,
+    coalescing width) and the compute block. *)
+
 val launch_cycles : Hierarchy.t -> gpu_params -> Exec.launch -> float
-val hierarchy_total_ms : Hierarchy.t -> gpu_params -> Exec.result -> float
+(** [= (launch_breakdown h p l).launch_cycles] *)
+
+val total_ms : Hierarchy.t -> gpu_params -> Exec.result -> float
+(** Sum of the run's launch cycles, in milliseconds of the compute
+    clock. *)
 
 val cache_total_ms :
   Hierarchy.t -> flops:float -> hits:float array -> home_accesses:float ->
@@ -90,9 +79,9 @@ val cache_total_ms :
 (** {2 Machine-readable profiles} *)
 
 val breakdown_json : breakdown -> Emsc_obs.Json.t
-val launch_json : Config.gpu -> gpu_params -> Exec.launch -> Emsc_obs.Json.t
+val launch_json : Hierarchy.t -> gpu_params -> Exec.launch -> Emsc_obs.Json.t
 val params_json : gpu_params -> Emsc_obs.Json.t
 
-val profile_json : Config.gpu -> gpu_params -> Exec.result -> Emsc_obs.Json.t
+val profile_json : Hierarchy.t -> gpu_params -> Exec.result -> Emsc_obs.Json.t
 (** Per-launch counters and timing breakdowns plus run totals; the
     payload of [emsc profile]. *)

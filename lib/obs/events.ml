@@ -180,22 +180,14 @@ let chrome_events tracks =
   List.rev !out
 
 let merged_chrome_json () =
-  let compile = Trace.chrome_json () in
-  let compile_events =
-    match Json.member "traceEvents" compile with
-    | Some l -> Json.to_list l
-    | None -> []
-  in
   let tracks = drain () in
   (* keep empty tracks out of the file so an events-off profile is
      byte-identical to the compile-only trace *)
   let tracks = List.filter (fun t -> t.events <> [] || t.dropped > 0) tracks in
   Json.Obj
-    [ ("traceEvents", Json.List (compile_events @ chrome_events tracks));
+    [ ("traceEvents",
+       Json.List (Prof.chrome_events () @ chrome_events tracks));
       ("displayTimeUnit", Json.Str "ms") ]
 
 let write_merged_chrome path =
-  let oc = open_out path in
-  output_string oc (Json.to_string (merged_chrome_json ()));
-  output_char oc '\n';
-  close_out oc
+  Io.write_file path (Json.to_string (merged_chrome_json ()) ^ "\n")

@@ -115,7 +115,7 @@ let is_empty_impl p =
   is_trivially_empty p
   || Simplex.feasible_point ~dim:p.dim ~eqs:p.eqs ~ineqs:p.ineqs = None
 
-let is_empty p = Emsc_obs.Prof.counted "poly.is_empty" is_empty_impl p
+let is_empty p = Emsc_obs.Prof.wrap "poly.is_empty" is_empty_impl p
 
 let is_universe p = p.eqs = [] && p.ineqs = []
 
@@ -185,7 +185,7 @@ let eliminate_dim_impl p j =
 
 let eliminate_dim p j =
   if j < 0 || j >= p.dim then invalid_arg "Poly.eliminate_dim";
-  Emsc_obs.Prof.counted2 "poly.eliminate_dim" eliminate_dim_impl p j
+  Emsc_obs.Prof.wrap2 "poly.eliminate_dim" eliminate_dim_impl p j
 
 let eliminate_dims p js =
   let sorted = List.sort_uniq (fun a b -> compare b a) js in
@@ -232,7 +232,7 @@ let image_impl p f =
 
 let image p f =
   if Mat.cols f <> p.dim + 1 then invalid_arg "Poly.image: map width";
-  Emsc_obs.Prof.counted2 "poly.image" image_impl p f
+  Emsc_obs.Prof.wrap2 "poly.image" image_impl p f
 
 let preimage p f =
   let n = p.dim in
@@ -369,7 +369,7 @@ let remove_redundant_impl p =
   end
 
 let remove_redundant p =
-  Emsc_obs.Prof.counted "poly.remove_redundant" remove_redundant_impl p
+  Emsc_obs.Prof.wrap "poly.remove_redundant" remove_redundant_impl p
 
 let affine_hull p =
   let implicit =

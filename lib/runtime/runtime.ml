@@ -536,7 +536,7 @@ let exec_launch rt host_bindings (l : Ast.loop) =
   if n = 0 then ()
   else begin
     let module J = Emsc_obs.Json in
-    Emsc_obs.Trace.span "runtime.launch"
+    Emsc_obs.Prof.probe "runtime.launch"
       ~args:
         [ ("grid", J.Float (float_of_int n));
           ("jobs", J.Int rt.cfg.jobs);
@@ -655,10 +655,10 @@ let exec_launch rt host_bindings (l : Ast.loop) =
     done;
     Exec.add_into delta rt.totals;
     rt.blocks_run <- rt.blocks_run + n;
-    Emsc_obs.Trace.count "launch.flops" delta.Exec.flops;
-    Emsc_obs.Trace.count "launch.global" (Exec.total_global delta);
-    Emsc_obs.Trace.count "launch.smem" (Exec.total_smem delta);
-    Emsc_obs.Trace.count "launch.syncs" delta.Exec.syncs;
+    Emsc_obs.Prof.add "launch.flops" delta.Exec.flops;
+    Emsc_obs.Prof.add "launch.global" (Exec.total_global delta);
+    Emsc_obs.Prof.add "launch.smem" (Exec.total_smem delta);
+    Emsc_obs.Prof.add "launch.syncs" delta.Exec.syncs;
     let grid = float_of_int n in
     rt.launches <-
       { Exec.grid; per_block = Exec.scale_counters delta (1.0 /. grid);
@@ -800,7 +800,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
       Pool.shutdown wpool;
       Array.iter Dma.shutdown channels)
   @@ fun () ->
-  Emsc_obs.Trace.span "runtime.run"
+  Emsc_obs.Prof.probe "runtime.run"
     ~args:[ ("jobs", Emsc_obs.Json.Int cfg.jobs) ]
   @@ fun () ->
   List.iter (exec_host rt []) stms;

@@ -1,7 +1,7 @@
 module P = Protocol
 module J = Emsc_obs.Json
 module Metrics = Emsc_obs.Metrics
-module Trace = Emsc_obs.Trace
+module Prof = Emsc_obs.Prof
 module Pipeline = Emsc_driver.Pipeline
 module Cache = Emsc_driver.Cache
 module Source = Emsc_driver.Source
@@ -240,7 +240,7 @@ let run (cfg : config) : stats =
     else begin
       let opn = P.op_name t.t_req.P.op in
       let result =
-        Trace.span ("serve." ^ opn) (fun () ->
+        Prof.probe ("serve." ^ opn) (fun () ->
           execute ~cache:cfg.cache ~default_machine:cfg.default_machine
             t.t_req.P.op)
       in

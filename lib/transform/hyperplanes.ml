@@ -92,7 +92,7 @@ let independent chosen v =
   Mat.rank m = List.length chosen + 1
 
 let find_band ?(max_coeff = 1) p deps =
-  Emsc_obs.Trace.span "hyperplanes.find_band" @@ fun () ->
+  Emsc_obs.Prof.probe "hyperplanes.find_band" @@ fun () ->
   let depth =
     match p.Prog.stmts with
     | [] -> invalid_arg "Hyperplanes.find_band: empty program"
@@ -102,7 +102,7 @@ let find_band ?(max_coeff = 1) p deps =
       s.Prog.depth
   in
   let cands = candidates ~max_coeff depth in
-  Emsc_obs.Trace.count "hyperplanes.candidates" (float_of_int (List.length cands));
+  Emsc_obs.Prof.add "hyperplanes.candidates" (float_of_int (List.length cands));
   let legal_cands =
     List.filter_map (fun h ->
       if is_legal p deps h then
@@ -110,7 +110,7 @@ let find_band ?(max_coeff = 1) p deps =
       else None)
       cands
   in
-  Emsc_obs.Trace.count "hyperplanes.legal"
+  Emsc_obs.Prof.add "hyperplanes.legal"
     (float_of_int (List.length legal_cands));
   let chosen = ref [] in
   let flags = ref [] in

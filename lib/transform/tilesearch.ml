@@ -43,7 +43,7 @@ let make_penalized pb =
     match Hashtbl.find_opt cache key with
     | Some r -> r
     | None ->
-      Emsc_obs.Trace.count "tilesearch.evals" 1.0;
+      Emsc_obs.Prof.add "tilesearch.evals" 1.0;
       let r = pb.evaluate t in
       Hashtbl.replace cache key r;
       r
@@ -74,7 +74,7 @@ let better a b =
   | Some ca, Some cb -> if cb.cost < ca.cost then Some cb else Some ca
 
 let search ?(max_evals = 400) ?(snap_pow2 = false) pb =
-  Emsc_obs.Trace.span "tilesearch.search" @@ fun () ->
+  Emsc_obs.Prof.probe "tilesearch.search" @@ fun () ->
   let n = Array.length pb.ranges in
   let eval, penalized = make_penalized pb in
   (* the distinct-candidate budget: both phases share the memo table,
@@ -178,7 +178,7 @@ let pipeline_problem ~prog ~spec_of ~ranges ~mem_limit_words ~threads
     ~sync_cost ~transfer_cost () =
   let zero_env _ = Zint.zero in
   let evaluate t =
-    Emsc_obs.Trace.span "tilesearch.evaluate"
+    Emsc_obs.Prof.probe "tilesearch.evaluate"
       ~args:
         [ ( "t",
             Emsc_obs.Json.List

@@ -405,17 +405,18 @@ let test_batch_dead_worker_is_isolated () =
 (* --- tracing ---------------------------------------------------------- *)
 
 let test_stage_spans () =
-  Emsc_obs.Trace.reset ();
-  Emsc_obs.Trace.enable ();
+  let module Prof = Emsc_obs.Prof in
+  Prof.reset ();
+  Prof.enable ();
   let finally () =
-    Emsc_obs.Trace.disable ();
-    Emsc_obs.Trace.reset ()
+    Prof.disable ();
+    Prof.reset ()
   in
   Fun.protect ~finally (fun () ->
     let (_ : Pipeline.compiled) = compile_ok ~cache:(Cache.in_memory ()) (src ()) in
     let names =
-      List.map (fun (a : Emsc_obs.Trace.agg) -> a.Emsc_obs.Trace.agg_name)
-        (Emsc_obs.Trace.aggregate ())
+      List.map (fun (p : Prof.pass) -> p.Prof.p_name)
+        (Prof.passes (Prof.snapshot ()))
     in
     List.iter
       (fun n ->

@@ -1,5 +1,6 @@
-(* Observability layer: JSON round-trips, span trees, metric records,
-   and the plan-explain report on a real kernel. *)
+(* Observability layer: JSON round-trips, the Prof span tree, file
+   output, metric records, and the plan-explain report on a real
+   kernel. *)
 
 open Emsc_obs
 open Emsc_core
@@ -135,71 +136,80 @@ let test_json_boundaries () =
   check golden "int-valued-float" (Json.Float 3.0) (parse_exn "3.0")
 
 (* ------------------------------------------------------------------ *)
-(* Trace: span nesting, timing, export                                 *)
+(* Prof span tree: nesting, timing, export                             *)
 (* ------------------------------------------------------------------ *)
 
 (* deterministic clock: each reading advances by one second *)
 let with_fake_clock f =
   let t = ref 0.0 in
-  Trace.set_clock (fun () -> t := !t +. 1.0; !t);
-  Trace.reset ();
-  Trace.enable ();
+  Prof.set_clock (fun () -> t := !t +. 1.0; !t);
+  Prof.reset ();
+  Prof.enable ();
+  Prof.enable_tree ();
   Fun.protect f ~finally:(fun () ->
-    Trace.disable ();
-    Trace.reset ();
-    Trace.use_default_clock ())
+    Prof.disable_tree ();
+    Prof.disable ();
+    Prof.reset ();
+    Prof.use_default_clock ())
 
 let build_tree () =
-  Trace.span "outer" (fun () ->
-    Trace.count "items" 2.0;
-    Trace.span "inner" (fun () -> Trace.count "items" 1.0);
-    Trace.span "inner" (fun () -> ()))
+  Prof.probe "outer" (fun () ->
+    Prof.add "items" 2.0;
+    Prof.probe "inner" (fun () -> Prof.add "items" 1.0);
+    Prof.probe "inner" (fun () -> ()))
+
+let find_pass n =
+  List.find (fun (p : Prof.pass) -> p.Prof.p_name = n)
+    (Prof.passes (Prof.snapshot ()))
 
 let test_span_nesting () =
   with_fake_clock (fun () ->
     build_tree ();
-    match Trace.roots () with
+    match Prof.roots () with
     | [ outer ] ->
-      checks "outer name" "outer" outer.Trace.name;
-      Alcotest.(check int) "children" 2 (List.length outer.Trace.children);
-      List.iter (fun (c : Trace.node) ->
-        checks "child name" "inner" c.Trace.name;
+      checks "outer name" "outer" outer.Prof.name;
+      Alcotest.(check int) "children" 2 (List.length outer.Prof.children);
+      List.iter (fun (c : Prof.node) ->
+        checks "child name" "inner" c.Prof.name;
         checkb "child within parent" true
-          (c.Trace.start_s >= outer.Trace.start_s
-           && c.Trace.start_s +. c.Trace.dur_s
-              <= outer.Trace.start_s +. outer.Trace.dur_s))
-        outer.Trace.children;
+          (c.Prof.start_s >= outer.Prof.start_s
+           && c.Prof.start_s +. c.Prof.dur_s
+              <= outer.Prof.start_s +. outer.Prof.dur_s))
+        outer.Prof.children;
       (* children in start order, non-overlapping under the fake clock *)
-      (match outer.Trace.children with
+      (match outer.Prof.children with
        | [ a; b ] ->
          checkb "monotonic starts" true
-           (a.Trace.start_s +. a.Trace.dur_s <= b.Trace.start_s)
+           (a.Prof.start_s +. a.Prof.dur_s <= b.Prof.start_s)
        | _ -> assert false);
       (* counters land on the innermost open span, no roll-up *)
       check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-        "outer counters" [ ("items", 2.0) ] outer.Trace.counters;
+        "outer counters" [ ("items", 2.0) ] outer.Prof.counters;
       check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
         "inner counters" [ ("items", 1.0) ]
-        (List.hd outer.Trace.children).Trace.counters
+        (List.hd outer.Prof.children).Prof.counters
     | roots -> Alcotest.failf "expected 1 root, got %d" (List.length roots))
 
 let test_span_disabled_and_errors () =
-  Trace.reset ();
-  Trace.disable ();
-  check Alcotest.int "disabled passthrough" 7 (Trace.span "x" (fun () -> 7));
-  Trace.count "noop" 1.0;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.roots ()));
+  Prof.reset ();
+  Prof.disable ();
+  Prof.enable_tree ();
+  check Alcotest.int "disabled passthrough" 7 (Prof.probe "x" (fun () -> 7));
+  Prof.add "noop" 1.0;
+  Prof.disable_tree ();
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Prof.roots ()));
   with_fake_clock (fun () ->
-    (try Trace.span "boom" (fun () -> failwith "bang") with Failure _ -> ());
-    match Trace.roots () with
+    (try Prof.probe "boom" (fun () -> failwith "bang") with Failure _ -> ());
+    match Prof.roots () with
     | [ n ] ->
-      checkb "error marked" true (List.mem_assoc "error" n.Trace.args)
+      checkb "error marked" true (List.mem_assoc "error" n.Prof.args)
     | _ -> Alcotest.fail "raising span must still be recorded")
 
 let test_chrome_json () =
   with_fake_clock (fun () ->
     build_tree ();
-    let j = parse_exn (Json.to_string (Trace.chrome_json ())) in
+    Events.reset ();
+    let j = parse_exn (Json.to_string (Events.merged_chrome_json ())) in
     let events =
       match Json.member "traceEvents" j with
       | Some e -> Json.to_list e
@@ -213,42 +223,63 @@ let test_chrome_json () =
         checkb (f ^ " present") true (Json.member f ev <> None))
         [ "name"; "ts"; "dur"; "pid"; "tid" ])
       events;
-    (* aggregate sees both spans *)
-    match Trace.aggregate () with
-    | [] -> Alcotest.fail "empty aggregate"
-    | _ :: _ ->
-      let inner =
-        List.find (fun (a : Trace.agg) -> a.Trace.agg_name = "inner")
-          (Trace.aggregate ())
-      in
-      Alcotest.(check int) "inner calls" 2 inner.Trace.calls)
+    (* the aggregate sees the same probes *)
+    Alcotest.(check int) "inner calls" 2 (find_pass "inner").Prof.p_calls)
 
 let test_aggregate_errors () =
   with_fake_clock (fun () ->
     build_tree ();
     (try
-       Trace.span "boom" (fun () ->
-         Trace.count "items" 5.0;
+       Prof.probe "boom" (fun () ->
+         Prof.add "items" 5.0;
          failwith "bang")
      with Failure _ -> ());
-    let aggs = Trace.aggregate () in
-    let find n = List.find (fun (a : Trace.agg) -> a.Trace.agg_name = n) aggs in
-    Alcotest.(check int) "boom calls" 1 (find "boom").Trace.calls;
-    Alcotest.(check int) "boom errors" 1 (find "boom").Trace.errors;
-    Alcotest.(check int) "inner errors" 0 (find "inner").Trace.errors;
-    Alcotest.(check int) "outer errors" 0 (find "outer").Trace.errors;
-    (* counter totals ride along per span name *)
+    Alcotest.(check int) "boom calls" 1 (find_pass "boom").Prof.p_calls;
+    Alcotest.(check int) "boom errors" 1 (find_pass "boom").Prof.p_errors;
+    Alcotest.(check int) "inner errors" 0 (find_pass "inner").Prof.p_errors;
+    Alcotest.(check int) "outer errors" 0 (find_pass "outer").Prof.p_errors;
+    (* counter totals ride along per probe name *)
     check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-      "boom counters" [ ("items", 5.0) ] (find "boom").Trace.agg_counters;
+      "boom counters" [ ("items", 5.0) ] (find_pass "boom").Prof.p_counters;
     check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-      "inner counters" [ ("items", 1.0) ] (find "inner").Trace.agg_counters;
-    (* the error span is marked in the JSON aggregate too *)
-    let j = parse_exn (Json.to_string (Trace.aggregate_json ())) in
+      "inner counters" [ ("items", 1.0) ] (find_pass "inner").Prof.p_counters;
+    (* the error probe is marked in the pass_timings JSON too *)
+    let j =
+      parse_exn (Json.to_string (Prof.pass_timings_json (Prof.snapshot ())))
+    in
     let rows = Json.to_list j in
     let boom =
       List.find (fun r -> Json.member "name" r = Some (Json.Str "boom")) rows
     in
     checkb "errors field" true (Json.member "errors" boom = Some (Json.Int 1)))
+
+(* ------------------------------------------------------------------ *)
+(* Io: a failed write raises and releases its descriptor               *)
+(* ------------------------------------------------------------------ *)
+
+let test_write_file () =
+  let path = Filename.temp_file "emsc-io" ".txt" in
+  Io.write_file path "hello\n";
+  checks "round-trip" "hello\n" (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path;
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  let fails name write =
+    match write () with
+    | () -> Alcotest.failf "%s: write to /dev/full succeeded" name
+    | exception Sys_error _ ->
+      Alcotest.(check int) (name ^ ": no descriptor leaked") before
+        (open_fds ())
+  in
+  fails "Io.write_file" (fun () -> Io.write_file "/dev/full" "x");
+  fails "Prof.write_collapsed" (fun () ->
+    Prof.write_collapsed "/dev/full"
+      [ { Prof.f_stack = [ "a" ]; f_calls = 1; f_errors = 0; f_total_s = 1.0;
+          f_self_s = 1.0; f_counters = [] } ]);
+  fails "Events.write_merged_chrome" (fun () ->
+    Events.write_merged_chrome "/dev/full")
 
 (* ------------------------------------------------------------------ *)
 (* Log: ndjson sink flushes after every record                         *)
@@ -397,51 +428,51 @@ let test_metrics_parallel () =
 
 (* spans opened on different domains keep their own stacks (so nesting
    is per-domain) while completed roots and counter totals merge; every
-   span must survive the concurrent root attach *)
+   span must survive *)
 let test_trace_parallel () =
-  Trace.reset ();
-  Trace.enable ();
+  Prof.reset ();
+  Prof.enable ();
+  Prof.enable_tree ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
+      Prof.disable_tree ();
+      Prof.disable ();
+      Prof.reset ())
     (fun () ->
       let domains = 4 and iters = 200 in
       let workers =
         List.init domains (fun _ ->
           Domain.spawn (fun () ->
             for _ = 1 to iters do
-              Trace.span "outer" (fun () ->
-                Trace.count "items" 1.0;
-                Trace.span "inner" (fun () -> ()))
+              Prof.probe "outer" (fun () ->
+                Prof.add "items" 1.0;
+                Prof.probe "inner" (fun () -> ()))
             done))
       in
       List.iter Domain.join workers;
-      let roots = Trace.roots () in
+      let roots = Prof.roots () in
       Alcotest.(check int) "every span became a root" (domains * iters)
         (List.length roots);
-      List.iter (fun (n : Trace.node) ->
-        checks "root name" "outer" n.Trace.name;
+      List.iter (fun (n : Prof.node) ->
+        checks "root name" "outer" n.Prof.name;
         Alcotest.(check int) "nested child stayed on its domain" 1
-          (List.length n.Trace.children))
+          (List.length n.Prof.children))
         roots;
       (* roots come back sorted by start time for the Chrome export *)
       let rec sorted = function
         | a :: (b :: _ as rest) ->
-          a.Trace.start_s <= b.Trace.start_s && sorted rest
+          a.Prof.start_s <= b.Prof.start_s && sorted rest
         | _ -> true
       in
       checkb "roots in start order" true (sorted roots);
-      let find n =
-        List.find (fun (a : Trace.agg) -> a.Trace.agg_name = n)
-          (Trace.aggregate ())
-      in
-      Alcotest.(check int) "outer calls" (domains * iters) (find "outer").Trace.calls;
-      Alcotest.(check int) "inner calls" (domains * iters) (find "inner").Trace.calls;
+      Alcotest.(check int) "outer calls" (domains * iters)
+        (find_pass "outer").Prof.p_calls;
+      Alcotest.(check int) "inner calls" (domains * iters)
+        (find_pass "inner").Prof.p_calls;
       check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
         "exact counter total"
         [ ("items", float_of_int (domains * iters)) ]
-        (find "outer").Trace.agg_counters)
+        (find_pass "outer").Prof.p_counters)
 
 (* ------------------------------------------------------------------ *)
 (* Metric records                                                      *)
@@ -529,6 +560,9 @@ let () =
       );
       ( "log",
         [ Alcotest.test_case "ndjson-flush" `Quick test_ndjson_flush ] );
+      ( "io",
+        [ Alcotest.test_case "write_file reports failure, no fd leak" `Quick
+            test_write_file ] );
       ( "metrics",
         [ Alcotest.test_case "counters-json" `Quick test_counters_json;
           Alcotest.test_case "disabled-empty" `Quick test_metrics_disabled;

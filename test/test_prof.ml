@@ -1,8 +1,8 @@
 (* The compiler self-profiler: zero-cost-when-disabled discipline,
    hierarchical accumulation with exact call counts under a 4-domain
-   hammer, deterministic collapsed-stack export for a fixed compile,
-   preserved legacy trace counters at the converted poly call-sites,
-   histogram quantiles, and bench-compare regression attribution. *)
+   hammer, exact call counts at the poly call-sites, deterministic
+   collapsed-stack export for a fixed compile, histogram quantiles, and
+   bench-compare regression attribution. *)
 
 open Emsc_obs
 module BC = Emsc_audit.Bench_compare
@@ -38,14 +38,16 @@ let frame prof stack =
 (* Disabled: no output, no allocation                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* top-level so the [counted] call-site is fully applied: the disabled
-   path must not build a closure *)
+(* top-level so the [wrap]/[wrap2] call-sites are fully applied: the
+   disabled path must not build a closure *)
 let na_impl x = x + 1
+let na2_impl x y = x + y
 
 let test_disabled_records_nothing () =
   Prof.reset ();
   Prof.disable ();
-  checki "counted still runs the function" 42 (Prof.counted "na" na_impl 41);
+  checki "wrap still runs the function" 42 (Prof.wrap "na" na_impl 41);
+  checki "wrap2 still runs the function" 42 (Prof.wrap2 "na" na2_impl 40 2);
   ignore (Prof.probe "p" (fun () -> 7));
   Prof.add "c" 1.0;
   checki "nothing recorded while disabled" 0 (List.length (Prof.snapshot ()));
@@ -55,11 +57,13 @@ let test_disabled_no_allocation () =
   Prof.reset ();
   Prof.disable ();
   (* warm up so the loop's code path is settled before measuring *)
-  ignore (Prof.counted "prof.na" na_impl 0);
+  ignore (Prof.wrap "prof.na" na_impl 0);
+  ignore (Prof.wrap2 "prof.na2" na2_impl 0 1);
   Prof.add "prof.na.counter" 1.0;
   let w0 = Gc.minor_words () in
   for i = 0 to 99_999 do
-    ignore (Prof.counted "prof.na" na_impl i);
+    ignore (Prof.wrap "prof.na" na_impl i);
+    ignore (Prof.wrap2 "prof.na2" na2_impl i 1);
     Prof.add "prof.na.counter" 1.0
   done;
   let dw = Gc.minor_words () -. w0 in
@@ -133,41 +137,31 @@ let test_four_domain_hammer_exact_counts () =
       (List.assoc "ticks" inner.Prof.f_counters))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy trace counters at the converted poly call-sites              *)
+(* Call counts at the poly call-sites                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_poly_trace_counters_preserved () =
+let test_poly_calls_in_passes () =
   let open Emsc_poly in
-  Trace.reset ();
-  Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    (fun () ->
-      let box =
-        Poly.of_ineqs ~dim:2
-          [ [ 1; 0; 0 ]; [ -1; 0; 7 ]; [ 0; 1; 0 ]; [ 0; -1; 7 ] ]
-      in
-      Trace.span "t" (fun () ->
-        ignore (Poly.is_empty box);
-        ignore (Poly.is_empty box);
-        ignore (Poly.eliminate_dim box 1);
-        ignore (Poly.remove_redundant box));
-      let agg = Trace.aggregate () in
-      let t = List.find (fun a -> a.Trace.agg_name = "t") agg in
-      let total name =
-        match List.assoc_opt name t.Trace.agg_counters with
-        | Some v -> v
-        | None -> Alcotest.failf "span lost counter %s" name
-      in
-      (* 2 explicit calls + the one remove_redundant makes internally,
-         exactly as the pre-Prof call-sites counted *)
-      checkf "poly.is_empty counter still emitted" 3.0 (total "poly.is_empty");
-      checkf "poly.eliminate_dim counter still emitted" 1.0
-        (total "poly.eliminate_dim");
-      checkf "poly.remove_redundant counter still emitted" 1.0
-        (total "poly.remove_redundant"))
+  with_prof (fun () ->
+    let box =
+      Poly.of_ineqs ~dim:2
+        [ [ 1; 0; 0 ]; [ -1; 0; 7 ]; [ 0; 1; 0 ]; [ 0; -1; 7 ] ]
+    in
+    Prof.probe "t" (fun () ->
+      ignore (Poly.is_empty box);
+      ignore (Poly.is_empty box);
+      ignore (Poly.eliminate_dim box 1);
+      ignore (Poly.remove_redundant box));
+    let passes = Prof.passes (Prof.snapshot ()) in
+    let calls name =
+      match List.find_opt (fun p -> p.Prof.p_name = name) passes with
+      | Some p -> p.Prof.p_calls
+      | None -> Alcotest.failf "no pass %s" name
+    in
+    (* 2 explicit calls + the one remove_redundant makes internally *)
+    checki "poly.is_empty calls" 3 (calls "poly.is_empty");
+    checki "poly.eliminate_dim calls" 1 (calls "poly.eliminate_dim");
+    checki "poly.remove_redundant calls" 1 (calls "poly.remove_redundant"))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic collapsed export for a fixed compile                  *)
@@ -404,9 +398,9 @@ let () =
             test_exception_still_records;
           Alcotest.test_case "4-domain hammer, exact counts" `Quick
             test_four_domain_hammer_exact_counts ] );
-      ( "legacy",
-        [ Alcotest.test_case "poly trace counters preserved" `Quick
-            test_poly_trace_counters_preserved ] );
+      ( "poly",
+        [ Alcotest.test_case "call counts from passes" `Quick
+            test_poly_calls_in_passes ] );
       ( "export",
         [ Alcotest.test_case "collapsed deterministic for a fixed compile"
             `Quick test_collapsed_deterministic_for_fixed_compile ] );

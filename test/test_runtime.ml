@@ -361,11 +361,13 @@ let fig1_plan () =
 
 let test_effective_smem_helpers () =
   Alcotest.(check int) "single" 100
-    (Timing.effective_smem_words ~double_buffer:false 100);
+    (Hierarchy.effective_words ~double_buffer:false 100);
   Alcotest.(check int) "double" 200
-    (Timing.effective_smem_words ~double_buffer:true 100);
-  Alcotest.(check int) "bytes" 800
-    (Timing.effective_smem_bytes ~double_buffer:true ~word_bytes:4 100)
+    (Hierarchy.effective_words ~double_buffer:true 100);
+  let plan = fig1_plan () in
+  let fp = Zint.to_int_exn (Plan.total_footprint plan no_params) in
+  Alcotest.(check (option int)) "plan bytes" (Some (2 * fp * 4))
+    (Timing.plan_smem_bytes ~double_buffer:true ~word_bytes:4 plan no_params)
 
 (* a plan that fits single-buffered but not double-buffered must fail
    the capacity invariant exactly when double_buffer is set *)
