@@ -810,22 +810,19 @@ let runtime_compiled ~kernel job =
     pf "%-12s %-10s %10.1f ms  (%.2fx, bit-identical)\n" kernel series ms
       (seq_ms /. ms))
     (runtime_jobs ());
-  (* one work-stealing and one pipelined (double-buffered DMA) point at
-     the widest domain count, same equality requirement *)
+  (* one pipelined (double-buffered DMA) point at the widest domain
+     count, same equality requirement *)
   let jmax = List.fold_left max 1 (runtime_jobs ()) in
-  List.iter (fun (series, policy, double_buffer) ->
-    let (par, ms) =
-      time_run (fun () ->
-        Runner.simulate ~memory:Runner.Pseudorandom ~backend:(`Par jmax)
-          ~policy ~double_buffer c)
-    in
-    assert_matches ~kernel ~series prog seq par;
-    record_runtime ~kernel ~series ms;
-    pf "%-12s %-10s %10.1f ms  (%.2fx, bit-identical)\n" kernel series ms
-      (seq_ms /. ms))
-    [ (Printf.sprintf "steal-j%d" jmax, Emsc_runtime.Runtime.Work_stealing,
-       false);
-      (Printf.sprintf "db-j%d" jmax, Emsc_runtime.Runtime.Static, true) ];
+  let series = Printf.sprintf "db-j%d" jmax in
+  let (par, ms) =
+    time_run (fun () ->
+      Runner.simulate ~memory:Runner.Pseudorandom ~backend:(`Par jmax)
+        ~double_buffer:true c)
+  in
+  assert_matches ~kernel ~series prog seq par;
+  record_runtime ~kernel ~series ms;
+  pf "%-12s %-10s %10.1f ms  (%.2fx, bit-identical)\n" kernel series ms
+    (seq_ms /. ms);
   record_runtime_report ~kernel (fun () ->
     Runner.simulate ~memory:Runner.Pseudorandom ~backend:(`Par jmax)
       ~double_buffer:true c)

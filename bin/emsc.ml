@@ -61,11 +61,19 @@ let with_trace trace f =
         if not prof_was_on then Prof.disable ())
       f
 
+(* an output file that cannot be written is a user error, reported in
+   one line with exit status 1 *)
+let write_or_die path write =
+  try write ()
+  with Sys_error msg ->
+    Printf.eprintf "emsc: cannot write %s: %s\n" path msg;
+    exit 1
+
 let emit_json out j =
   let s = Json.to_string ~pretty:true j in
   match out with
   | None -> print_string s; print_newline ()
-  | Some path -> Io.write_file path (s ^ "\n")
+  | Some path -> write_or_die path (fun () -> Io.write_file path (s ^ "\n"))
 
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
@@ -173,23 +181,6 @@ let exec_jobs_arg =
            ~doc:"Worker domains of the parallel backend (with --backend \
                  parallel).")
 
-let policy_arg =
-  let parse = function
-    | "static" -> Ok Emsc_runtime.Runtime.Static
-    | "steal" | "work-stealing" -> Ok Emsc_runtime.Runtime.Work_stealing
-    | s -> Error (`Msg ("unknown policy " ^ s))
-  in
-  let print fmt p =
-    Format.pp_print_string fmt
-      (match p with
-       | Emsc_runtime.Runtime.Static -> "static"
-       | Emsc_runtime.Runtime.Work_stealing -> "steal")
-  in
-  Arg.(value & opt (conv (parse, print)) Emsc_runtime.Runtime.Static
-       & info [ "policy" ] ~docv:"POLICY"
-           ~doc:"Parallel block-scheduling policy: static (round-robin) or \
-                 steal (work-stealing deques).")
-
 let double_buffer_arg =
   Arg.(value & flag
        & info [ "double-buffer" ]
@@ -205,7 +196,7 @@ let runtime_flag =
        & info [ "runtime" ]
            ~doc:"Record runtime execution events (implies --backend \
                  parallel) and report the analysis: per-domain \
-                 busy/idle/steal breakdown, achieved DMA-compute overlap, \
+                 busy/idle/DMA-wait breakdown, achieved DMA-compute overlap, \
                  scratchpad occupancy, critical path, plus the overlap \
                  audit against the double-buffer timing model.  With \
                  --trace, the Chrome export gains one track per worker \
@@ -415,7 +406,7 @@ let run_cmd =
       Printf.printf "checksum %-10s = %.6f\n" d.Prog.array_name sum)
       p.Prog.arrays
   in
-  let run file machine params backend jobs policy double_buffer runtime
+  let run file machine params backend jobs double_buffer runtime
       inter_tile_reuse block mem thread =
     let hier = resolve_machine machine in
     let backend = if runtime then `Parallel else backend in
@@ -465,7 +456,7 @@ let run_cmd =
          let simulate () =
            Runner.simulate ~memory:Runner.Pseudorandom
              ~param_env:(cli_env params)
-             ~backend:(backend_of `Parallel jobs) ~policy ~double_buffer
+             ~backend:(backend_of `Parallel jobs) ~double_buffer
              ~track_ownership:true ~hierarchy:hier c
          in
          let (m, result), report =
@@ -492,14 +483,14 @@ let run_cmd =
              parallel and tile sizes — block-parallel on the simulated \
              machine (bit-identical checksums)")
     Term.(const run $ file_arg $ machine_arg $ param_args $ backend_arg
-          $ exec_jobs_arg $ policy_arg $ double_buffer_arg $ runtime_flag
+          $ exec_jobs_arg $ double_buffer_arg $ runtime_flag
           $ intertile_arg $ block_arg $ mem_arg $ thread_arg)
 
 (* --- emsc profile ------------------------------------------------------- *)
 
 let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
     ~optimize_movement ~inter_tile_reuse ~spec ~threads ~global_sync ~backend
-    ~jobs ~policy ~double_buffer ~runtime =
+    ~jobs ~double_buffer ~runtime =
   let capacity_words = capacity_words_of hier in
   let options =
     { Options.default with
@@ -526,7 +517,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
     | `Seq -> Runner.simulate c
     | `Parallel ->
       Runner.simulate ~memory:Runner.Pseudorandom
-        ~backend:(backend_of `Parallel jobs) ~policy ~double_buffer
+        ~backend:(backend_of `Parallel jobs) ~double_buffer
         ~hierarchy:hier c
   in
   let (_, result), report =
@@ -659,7 +650,7 @@ let profile_cmd =
                    to flamegraph.pl or speedscope).")
   in
   let run file machine arch merge delta optimize_movement inter_tile_reuse
-      block mem thread threads global_sync backend jobs policy double_buffer
+      block mem thread threads global_sync backend jobs double_buffer
       runtime hotspots collapsed params trace no_cache cache_dir out =
     (* --trace turns probes on for its span tree; the compile_profile
        section stays reserved for --hotspots and EMSC_PROF runs *)
@@ -700,7 +691,7 @@ let profile_cmd =
           in
           gpu_profile ~cache ~name:file ~prog:p ~hier ~arch ~merge ~delta
             ~optimize_movement ~inter_tile_reuse ~spec ~threads ~global_sync
-            ~backend ~jobs ~policy ~double_buffer ~runtime
+            ~backend ~jobs ~double_buffer ~runtime
         | _ ->
           Printf.eprintf
             "profile: tiling flags need a single-statement program\n";
@@ -724,7 +715,7 @@ let profile_cmd =
         let prof = Prof.snapshot () in
         if hotspots then begin
           Prof.pp_top Format.err_formatter prof;
-          Prof.write_collapsed collapsed prof;
+          write_or_die collapsed (fun () -> Prof.write_collapsed collapsed prof);
           Printf.eprintf "collapsed stacks written to %s\n%!" collapsed
         end;
         fields @ [ ("compile_profile", Prof.json ~wall_ms prof) ]
@@ -745,7 +736,7 @@ let profile_cmd =
     Term.(const run $ file_arg $ machine_arg $ arch_arg $ merge_arg
           $ delta_arg $ optmove_arg $ intertile_arg $ block_arg $ mem_arg
           $ thread_arg $ threads_arg $ globalsync_arg $ backend_arg
-          $ exec_jobs_arg $ policy_arg $ double_buffer_arg $ runtime_flag
+          $ exec_jobs_arg $ double_buffer_arg $ runtime_flag
           $ hotspots_arg $ collapsed_arg
           $ param_args $ trace_arg $ nocache_arg $ cachedir_arg $ out_arg)
 

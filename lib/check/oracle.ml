@@ -134,5 +134,4 @@ let check_compiled ?(backend = `Seq) ~param_env (c : Pipeline.compiled) =
      | Invalid_argument m -> Error ("execution failed: " ^ m)
      | Not_found -> Error "execution failed: unbound variable"
      | Emsc_runtime.Runtime.Ownership_violation m ->
-       Error ("ownership: " ^ m)
-     | Emsc_runtime.Runtime.Runtime_error m -> Error ("runtime: " ^ m))
+       Error ("ownership: " ^ m))

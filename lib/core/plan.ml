@@ -137,9 +137,9 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
     ?(optimize_movement = false) ?(live_out = fun _ -> true)
     ?(merge_per_array = false) ?inter_tile p =
   Emsc_obs.Prof.probe "plan.plan_block"
-    ~args:
+    ~args:(fun () ->
       [ ("arch", Emsc_obs.Json.Str (match arch with `Gpu -> "gpu" | `Cell -> "cell"));
-        ("delta", Emsc_obs.Json.Float delta) ]
+        ("delta", Emsc_obs.Json.Float delta) ])
   @@ fun () ->
   let partitions =
     Emsc_obs.Prof.probe "plan.partition" @@ fun () ->
@@ -166,7 +166,7 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
   let buffered = ref [] and skipped = ref [] in
   List.iter (fun part ->
     Emsc_obs.Prof.probe "plan.partition_plan"
-      ~args:[ ("array", Emsc_obs.Json.Str part.Dataspaces.array) ]
+      ~args:(fun () -> [ ("array", Emsc_obs.Json.Str part.Dataspaces.array) ])
     @@ fun () ->
     let report =
       Emsc_obs.Prof.probe "reuse.analyze" @@ fun () ->

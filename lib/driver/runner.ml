@@ -47,7 +47,7 @@ type backend = [ `Seq | `Par of int ]
    from the block's effective scratchpad need (doubled when
    double-buffering keeps two windows resident) at the staging level.
    The machine defaults to the paper's GPU. *)
-let par_cfg ?(hierarchy = Hierarchy.gtx8800) ~jobs ~policy ~double_buffer
+let par_cfg ?(hierarchy = Hierarchy.gtx8800) ~jobs ~double_buffer
     ~track_ownership ~block_words ?(inter_tile_reuse = false) () =
   let s = Hierarchy.staging hierarchy in
   let occ =
@@ -57,14 +57,13 @@ let par_cfg ?(hierarchy = Hierarchy.gtx8800) ~jobs ~policy ~double_buffer
          * s.Hierarchy.l_word_bytes)
   in
   { (Emsc_runtime.Runtime.default_cfg ~jobs) with
-    Emsc_runtime.Runtime.policy; double_buffer; track_ownership;
+    Emsc_runtime.Runtime.double_buffer; track_ownership;
     max_concurrent_blocks = Some (occ * s.Hierarchy.l_fanout);
     block_words; inter_tile_reuse }
 
 let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
     ?(param_env = no_params) ?on_global ?(backend = `Seq)
-    ?(policy = Emsc_runtime.Runtime.Static) ?(double_buffer = false)
-    ?(track_ownership = false) ?(block_words = 0) ?(inter_tile_reuse = false)
+    ?(double_buffer = false) ?(track_ownership = false) ?(block_words = 0) ?(inter_tile_reuse = false)
     ?hierarchy ast =
   let m = prepare ?memory ~param_env prog in
   List.iter (Memory.declare_local m) locals;
@@ -77,7 +76,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
       (* parallel execution is Full-fidelity by construction: sampling
          extrapolates from iteration deltas, a sequential notion *)
       let cfg =
-        par_cfg ?hierarchy ~jobs ~policy ~double_buffer ~track_ownership
+        par_cfg ?hierarchy ~jobs ~double_buffer ~track_ownership
           ~block_words ~inter_tile_reuse ()
       in
       Prof.probe "driver.execute" @@ fun () ->
@@ -87,7 +86,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
   (m, result)
 
 let simulate ?(mode = Exec.Sampled 6) ?(memory = Phantom) ?param_env
-    ?on_global ?(backend = `Seq) ?policy ?(double_buffer = false)
+    ?on_global ?(backend = `Seq) ?(double_buffer = false)
     ?track_ownership ?hierarchy (c : Pipeline.compiled) =
   match (c.Pipeline.tiled, c.Pipeline.plan) with
   | Some t, Some plan ->
@@ -123,7 +122,7 @@ let simulate ?(mode = Exec.Sampled 6) ?(memory = Phantom) ?param_env
            plan.Plan.buffered
     in
     execute ~prog:t.Pipeline.tiled_prog ?local_ref ~locals ~mode ~memory
-      ?param_env ?on_global ~backend ?policy ~double_buffer ?track_ownership
+      ?param_env ?on_global ~backend ~double_buffer ?track_ownership
       ~block_words ~inter_tile_reuse ?hierarchy t.Pipeline.ast
   | _ ->
     invalid_arg

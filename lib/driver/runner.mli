@@ -37,7 +37,7 @@ type backend = [ `Seq | `Par of int ]
     block-parallel on [jobs] domains through {!Emsc_runtime.Runtime}.
     Parallel execution is always [Full] fidelity and produces
     bit-identical arrays, totals and launch grids to [`Seq] in [Full]
-    mode, for any [jobs] and either scheduling policy. *)
+    mode, for any [jobs]. *)
 
 val execute :
   prog:Prog.t ->
@@ -48,7 +48,6 @@ val execute :
   ?param_env:(string -> Zint.t) ->
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
   ?backend:backend ->
-  ?policy:Emsc_runtime.Runtime.policy ->
   ?double_buffer:bool ->
   ?track_ownership:bool ->
   ?block_words:int ->
@@ -64,11 +63,10 @@ val execute :
     async DMA pipeline, and the concurrent-arena cap follows
     [Timing.occupancy] over the effective (buffering-adjusted)
     footprint at the staging level of [hierarchy] (default
-    {!Hierarchy.gtx8800}).  [inter_tile_reuse] switches
-    the parallel executor to chain-aware scheduling (one arena per
-    chain of consecutive blocks) so the plan's resident slabs survive
-    between blocks — required when the AST carries delta-movement
-    guards. *)
+    {!Hierarchy.gtx8800}).  [inter_tile_reuse] makes the parallel
+    executor's chains runs of consecutive blocks sharing one arena, so
+    the plan's resident slabs survive between blocks — required when
+    the AST carries delta-movement guards. *)
 
 val simulate :
   ?mode:Exec.mode ->
@@ -76,7 +74,6 @@ val simulate :
   ?param_env:(string -> Zint.t) ->
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
   ?backend:backend ->
-  ?policy:Emsc_runtime.Runtime.policy ->
   ?double_buffer:bool ->
   ?track_ownership:bool ->
   ?hierarchy:Hierarchy.t ->

@@ -85,7 +85,7 @@ type dma_tally = {
   dma_out : (string, float ref) Hashtbl.t;
 }
 
-let fresh_dma () =
+let fresh_tally () =
   { dma_copies = 0.; dma_in = Hashtbl.create 4; dma_out = Hashtbl.create 4 }
 
 let dma_sorted tbl =
@@ -102,6 +102,16 @@ let block_dma_of_tally d =
   { copies = d.dma_copies;
     moved_in = dma_sorted d.dma_in;
     moved_out = dma_sorted d.dma_out }
+
+let bump_words tbl name words =
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r := !r +. words
+  | None -> Hashtbl.replace tbl name (ref words)
+
+let tally_add d (b : block_dma) =
+  d.dma_copies <- d.dma_copies +. b.copies;
+  List.iter (fun (name, words) -> bump_words d.dma_in name words) b.moved_in;
+  List.iter (fun (name, words) -> bump_words d.dma_out name words) b.moved_out
 
 type ctx = {
   prog : Prog.t;
@@ -277,48 +287,39 @@ let rec grid_size ctx (l : Ast.loop) =
    record the iterations they actually execute.  Tallied into the
    context (never straight into Metrics — see [dma_tally]). *)
 let record_copy ctx (dst : Ast.ref_expr) (src : Ast.ref_expr) =
-  let bump tbl name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := !r +. 1.0
-    | None -> Hashtbl.replace tbl name (ref 1.0)
-  in
   ctx.dma.dma_copies <- ctx.dma.dma_copies +. 1.0;
   let dst_local = Memory.is_local ctx.memory dst.Ast.array in
   let src_local = Memory.is_local ctx.memory src.Ast.array in
-  if dst_local && not src_local then bump ctx.dma.dma_in dst.Ast.array
-  else if src_local && not dst_local then bump ctx.dma.dma_out src.Ast.array
+  if dst_local && not src_local then bump_words ctx.dma.dma_in dst.Ast.array 1.0
+  else if src_local && not dst_local then
+    bump_words ctx.dma.dma_out src.Ast.array 1.0
 
-(* flush a movement tally into Metrics; main domain only *)
-let flush_dma_metrics (d : block_dma) =
-  if Emsc_obs.Metrics.enabled () && d.copies > 0.0 then begin
-    Emsc_obs.Metrics.counter "exec.copies" d.copies;
-    List.iter (fun (name, words) ->
-      if words > 0.0 then
-        Emsc_obs.Metrics.counter ~labels:[ ("buffer", name) ]
-          "exec.move_in_words" words)
-      d.moved_in;
-    List.iter (fun (name, words) ->
-      if words > 0.0 then
-        Emsc_obs.Metrics.counter ~labels:[ ("buffer", name) ]
-          "exec.move_out_words" words)
-      d.moved_out
-  end
-
-(* whole-run totals and scratchpad occupancy, recorded once per run:
-   O(1) regardless of program size, and one boolean when disabled *)
-let record_run_metrics ctx =
+(* whole-run movement, totals and scratchpad occupancy, recorded once
+   per run: O(1) regardless of program size, and one boolean when
+   disabled *)
+let record_run_metrics c dma ~occupancy =
   if Emsc_obs.Metrics.enabled () then begin
     let open Emsc_obs in
-    flush_dma_metrics (block_dma_of_tally ctx.dma);
+    if dma.dma_copies > 0.0 then begin
+      Metrics.counter "exec.copies" dma.dma_copies;
+      let flush name tbl =
+        Hashtbl.iter (fun buffer words ->
+          if !words > 0.0 then
+            Metrics.counter ~labels:[ ("buffer", buffer) ] name !words)
+          tbl
+      in
+      flush "exec.move_in_words" dma.dma_in;
+      flush "exec.move_out_words" dma.dma_out
+    end;
     Metrics.counter "exec.runs" 1.0;
-    Metrics.counter "exec.flops" ctx.c.flops;
-    Metrics.counter "exec.global_loads" ctx.c.g_ld;
-    Metrics.counter "exec.global_stores" ctx.c.g_st;
-    Metrics.counter "exec.smem_loads" ctx.c.s_ld;
-    Metrics.counter "exec.smem_stores" ctx.c.s_st;
-    Metrics.counter "exec.syncs" ctx.c.syncs;
-    Metrics.counter "exec.fences" ctx.c.fences;
-    let occ = Memory.local_occupancy ctx.memory in
+    Metrics.counter "exec.flops" c.flops;
+    Metrics.counter "exec.global_loads" c.g_ld;
+    Metrics.counter "exec.global_stores" c.g_st;
+    Metrics.counter "exec.smem_loads" c.s_ld;
+    Metrics.counter "exec.smem_stores" c.s_st;
+    Metrics.counter "exec.syncs" c.syncs;
+    Metrics.counter "exec.fences" c.fences;
+    let occ = occupancy () in
     List.iter (fun (name, cells) ->
       Metrics.gauge_max ~labels:[ ("buffer", name) ]
         "exec.scratchpad_occupancy_words" (float_of_int cells))
@@ -327,6 +328,12 @@ let record_run_metrics ctx =
       Metrics.gauge_max "exec.scratchpad_occupancy_total_words"
         (float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 occ))
   end
+
+let prof_launch delta =
+  Emsc_obs.Prof.add "launch.flops" delta.flops;
+  Emsc_obs.Prof.add "launch.global" (total_global delta);
+  Emsc_obs.Prof.add "launch.smem" (total_smem delta);
+  Emsc_obs.Prof.add "launch.syncs" delta.syncs
 
 let rec exec_stm ctx (s : Ast.stm) =
   match s with
@@ -351,17 +358,14 @@ and exec_loop ctx (l : Ast.loop) =
   if starts_launch then begin
     let grid = grid_size ctx l in
     Emsc_obs.Prof.probe "exec.launch"
-      ~args:[ ("grid", Emsc_obs.Json.Float grid) ]
+      ~args:(fun () -> [ ("grid", Emsc_obs.Json.Float grid) ])
     @@ fun () ->
     let before = copy_counters ctx.c in
     ctx.in_launch <- true;
     exec_loop_body ctx l;
     ctx.in_launch <- false;
     let delta = sub_counters ctx.c before in
-    Emsc_obs.Prof.add "launch.flops" delta.flops;
-    Emsc_obs.Prof.add "launch.global" (total_global delta);
-    Emsc_obs.Prof.add "launch.smem" (total_smem delta);
-    Emsc_obs.Prof.add "launch.syncs" delta.syncs;
+    prof_launch delta;
     if grid > 0.0 then
       ctx.launches <-
         { grid; per_block = scale_counters delta (1.0 /. grid); repeat = 1.0 }
@@ -478,7 +482,7 @@ let make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch =
   { prog = session.s_prog; stmts = session.s_stmts;
     flops_of = session.s_flops_of; rewrite = session.s_rewrite;
     param_env = session.s_param_env; memory; env = Hashtbl.create 32;
-    c = fresh (); mode; on_global; collect_dma; dma = fresh_dma ();
+    c = fresh (); mode; on_global; collect_dma; dma = fresh_tally ();
     in_launch; launches = [] }
 
 type block_outcome = {
@@ -505,7 +509,8 @@ let run ~prog ?local_ref ~param_env ~memory ?(mode = Full) ?on_global stms =
       ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
   in
   List.iter (exec_stm ctx) stms;
-  record_run_metrics ctx;
+  record_run_metrics ctx.c ctx.dma ~occupancy:(fun () ->
+    Memory.local_occupancy ctx.memory);
   { totals = ctx.c; launches = List.rev ctx.launches }
 
 let run_instances ~prog ~param_env ~memory ?on_global insts =
@@ -515,5 +520,6 @@ let run_instances ~prog ~param_env ~memory ?on_global insts =
       ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
   in
   List.iter (fun (s, iters) -> exec_body ctx s iters) insts;
-  record_run_metrics ctx;
+  record_run_metrics ctx.c ctx.dma ~occupancy:(fun () ->
+    Memory.local_occupancy ctx.memory);
   ctx.c

@@ -130,8 +130,24 @@ val run_block :
     [collect_dma] is set.  Block loops inside [stms] are treated as
     plain loops — launch bookkeeping belongs to the caller. *)
 
-val flush_dma_metrics : block_dma -> unit
-(** Flush a movement tally into the [Metrics] registry under the same
-    names the sequential interpreter uses ([exec.copies],
-    [exec.move_in_words]/[exec.move_out_words] per buffer).  Call from
-    the main domain only. *)
+(** {2 Run bookkeeping shared with the parallel runtime} *)
+
+type dma_tally
+(** A mutable per-buffer movement tally: the sum of many
+    {!block_dma}s. *)
+
+val fresh_tally : unit -> dma_tally
+
+val tally_add : dma_tally -> block_dma -> unit
+
+val prof_launch : counters -> unit
+(** Add one launch's counters to the [launch.flops], [launch.global],
+    [launch.smem] and [launch.syncs] {!Emsc_obs.Prof} counters. *)
+
+val record_run_metrics :
+  counters -> dma_tally -> occupancy:(unit -> (string * int) list) -> unit
+(** Record one finished run in the [Metrics] registry: the movement
+    tally ([exec.copies], [exec.move_in_words]/[exec.move_out_words]
+    per buffer), the [exec.*] counter totals, and [occupancy] as the
+    per-buffer [exec.scratchpad_occupancy_words] gauges.  [occupancy]
+    is only called when the registry is on.  Main domain only. *)

@@ -11,8 +11,7 @@ type data =
       words : float;
     }
   | Dma_wait of { launch : int; block : int }
-  | Steal of { victim : int; ok : bool }
-  | Idle of [ `Work | `Arena ]
+  | Arena_wait
   | Occupancy of { words : int; arenas : int }
 
 type event = { t0 : float; t1 : float; data : data }
@@ -121,10 +120,7 @@ let event_name = function
   | Dma_transfer { dir = `In; _ } -> "dma-in"
   | Dma_transfer { dir = `Out; _ } -> "dma-out"
   | Dma_wait _ -> "dma-wait"
-  | Steal { ok = true; _ } -> "steal"
-  | Steal { ok = false; _ } -> "steal-miss"
-  | Idle `Work -> "idle"
-  | Idle `Arena -> "arena-wait"
+  | Arena_wait -> "arena-wait"
   | Occupancy _ -> "occupancy"
 
 let event_args = function
@@ -133,8 +129,7 @@ let event_args = function
   | Dma_transfer { launch; block; words; _ } ->
     [ ("launch", Json.Int launch); ("block", Json.Int block);
       ("words", Json.Float words) ]
-  | Steal { victim; _ } -> [ ("victim", Json.Int victim) ]
-  | Idle _ -> []
+  | Arena_wait -> []
   | Occupancy { words; arenas } ->
     [ ("words", Json.Int words); ("arenas", Json.Int arenas) ]
 

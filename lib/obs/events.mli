@@ -1,7 +1,7 @@
 (** Runtime execution events: per-domain lock-free ring buffers.
 
-    The parallel backend ({!Emsc_runtime}) runs blocks, steals work,
-    and pipelines DMA across several domains; this module gives each
+    The parallel backend ({!Emsc_runtime}) runs blocks and pipelines
+    DMA across several domains; this module gives each
     emitting domain its own fixed-capacity ring of timestamped events
     so the run can be reconstructed afterwards — per-domain timelines,
     DMA lanes, arena occupancy — without any synchronization on the
@@ -41,10 +41,7 @@ type data =
     }  (** an asynchronous move phase carried by a DMA channel *)
   | Dma_wait of { launch : int; block : int }
       (** a worker blocked awaiting a DMA ticket *)
-  | Steal of { victim : int; ok : bool }
-      (** a work-stealing attempt (instant: [t0 = t1] allowed) *)
-  | Idle of [ `Work | `Arena ]
-      (** a worker waiting — for work or for arena capacity *)
+  | Arena_wait  (** a worker waiting for arena capacity *)
   | Occupancy of { words : int; arenas : int }
       (** arena-pool occupancy after a reserve/release (instant) *)
 

@@ -123,7 +123,7 @@ let close_span o t1 error =
     counters = List.sort by_name o.o_counters;
     children = List.rev o.o_children }
 
-let probe ?(args = []) name f =
+let probe ?args name f =
   if not !enabled_flag then f ()
   else begin
     let st = state () in
@@ -131,12 +131,17 @@ let probe ?(args = []) name f =
     let path = name :: saved in
     st.d_stack <- path;
     let parent = st.d_open in
+    (* only a recorded node reads the args, built before the clock
+       starts so their cost stays out of the span *)
+    let node_args =
+      match args with Some a when !tree_flag -> a () | _ -> []
+    in
     let t0 = !clock () in
     let span =
       if not !tree_flag then parent
       else begin
         let o =
-          { o_name = name; o_args = args; o_start = t0; o_counters = [];
+          { o_name = name; o_args = node_args; o_start = t0; o_counters = [];
             o_children = [] }
         in
         st.d_open <- o;

@@ -55,12 +55,15 @@ val use_default_clock : unit -> unit
 
 (** {2 Recording} *)
 
-val probe : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+val probe :
+  ?args:(unit -> (string * Json.t) list) -> string -> (unit -> 'a) -> 'a
 (** [probe name f] runs [f] with [name] pushed on this domain's label
     stack, accumulating one call and its wall time under the full
     stack.  Exceptions still record (as an error) and re-raise.
-    [args] annotate the span-tree node only.  Disabled: calls [f]
-    directly (the closure at the call-site is the only cost). *)
+    [args] annotate the span-tree node only: the thunk is called once,
+    when the node opens, and never while probes or the tree are off.
+    Disabled: calls [f] directly (the closures at the call-site are the
+    only cost). *)
 
 val wrap : string -> ('a -> 'b) -> 'a -> 'b
 (** [wrap name f x]: like [probe] but fully applied, so a hot

@@ -3,8 +3,6 @@ type domain_stat = {
   d_busy_s : float;
   d_dma_wait_s : float;
   d_idle_s : float;
-  d_steal_attempts : int;
-  d_steal_hits : int;
   d_blocks : int;
 }
 
@@ -64,7 +62,7 @@ let build (tracks : Events.track list) =
            if tr.Events.t_kind <> Events.Exec_track then None
            else begin
              let busy = ref 0.0 and wait = ref 0.0 in
-             let attempts = ref 0 and hits = ref 0 and blocks = ref 0 in
+             let blocks = ref 0 in
              List.iter
                (fun e ->
                   match e.Events.data with
@@ -72,9 +70,6 @@ let build (tracks : Events.track list) =
                     busy := !busy +. dur e;
                     incr blocks
                   | Events.Dma_wait _ -> wait := !wait +. dur e
-                  | Events.Steal { ok; _ } ->
-                    incr attempts;
-                    if ok then incr hits
                   | _ -> ())
                tr.Events.events;
              Some
@@ -82,8 +77,6 @@ let build (tracks : Events.track list) =
                  d_busy_s = !busy;
                  d_dma_wait_s = !wait;
                  d_idle_s = max 0.0 (window_s -. !busy -. !wait);
-                 d_steal_attempts = !attempts;
-                 d_steal_hits = !hits;
                  d_blocks = !blocks }
            end)
         tracks
@@ -195,8 +188,6 @@ let to_json r =
                     ("busy_ms", ms d.d_busy_s);
                     ("dma_wait_ms", ms d.d_dma_wait_s);
                     ("idle_ms", ms d.d_idle_s);
-                    ("steal_attempts", Json.Int d.d_steal_attempts);
-                    ("steal_hits", Json.Int d.d_steal_hits);
                     ("blocks", Json.Int d.d_blocks) ])
              r.domains) );
       ("compute_busy_ms", ms r.compute_busy_s);
@@ -225,9 +216,9 @@ let pp fmt r =
     (fun d ->
        Format.fprintf fmt
          "  %-10s busy %8.3f ms  dma-wait %8.3f ms  idle %8.3f ms  \
-          blocks %d  steals %d/%d@."
+          blocks %d@."
          d.d_name (d.d_busy_s *. 1e3) (d.d_dma_wait_s *. 1e3)
-         (d.d_idle_s *. 1e3) d.d_blocks d.d_steal_hits d.d_steal_attempts)
+         (d.d_idle_s *. 1e3) d.d_blocks)
     r.domains;
   Format.fprintf fmt
     "  dma busy %.3f ms (%.0f words)  overlap %.3f ms (%.1f%% of dma)@."

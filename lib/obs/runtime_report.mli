@@ -13,8 +13,6 @@ type domain_stat = {
   d_busy_s : float;      (** executing block phases *)
   d_dma_wait_s : float;  (** blocked awaiting a DMA ticket *)
   d_idle_s : float;      (** window minus busy minus wait, clamped at 0 *)
-  d_steal_attempts : int;
-  d_steal_hits : int;
   d_blocks : int;        (** block phases executed *)
 }
 

@@ -4,7 +4,6 @@ module Ev = Emsc_obs.Events
 type pool = {
   m : Mutex.t;
   cv : Condition.t;
-  capacity_words : int option;
   max_arenas : int option;
   base : Memory.t;
   fork : Memory.t -> Memory.t;
@@ -25,29 +24,8 @@ type t = {
   mutable released : bool;  (* guarded by [pool.m] *)
 }
 
-type error =
-  | Capacity_exceeded of {
-      requested_words : int;
-      capacity_words : int;
-    }
-  | Too_many_arenas of {
-      requested : int;
-      max_arenas : int;
-    }
-
-let error_message = function
-  | Capacity_exceeded { requested_words; capacity_words } ->
-    Printf.sprintf
-      "arena request of %d words exceeds pool capacity of %d words"
-      requested_words capacity_words
-  | Too_many_arenas { requested; max_arenas } ->
-    Printf.sprintf
-      "request for %d arenas exceeds the pool's concurrent-arena cap of %d"
-      requested max_arenas
-
-let create_pool ?capacity_words ?max_arenas ?fork ~base () =
-  { m = Mutex.create (); cv = Condition.create (); capacity_words;
-    max_arenas; base;
+let create_pool ?max_arenas ?fork ~base () =
+  { m = Mutex.create (); cv = Condition.create (); max_arenas; base;
     fork = (match fork with Some f -> f | None -> Memory.fork_view);
     free_views = []; in_use = 0; words_in_use = 0;
     peak_in_use = 0; occupancy = Hashtbl.create 4; evr = None }
@@ -66,18 +44,10 @@ let emit_occupancy p =
       (Ev.Occupancy { words = p.words_in_use; arenas = p.in_use })
   | _ -> ()
 
-let fits_eventually p words =
-  match p.capacity_words with
-  | Some cap when words > cap -> false
-  | _ -> true
+let has_room p =
+  match p.max_arenas with Some k -> p.in_use < k | None -> true
 
-let fits_now p words =
-  (match p.max_arenas with Some k -> p.in_use < k | None -> true)
-  && (match p.capacity_words with
-      | Some cap -> p.words_in_use + words <= cap
-      | None -> true)
-
-(* caller holds [p.m] and has checked [fits_now].  The view fork runs
+(* caller holds [p.m] and has checked [has_room].  The view fork runs
    before any counter moves, so a raise (injected fork in tests, OOM)
    leaves the pool's accounting untouched — but the CALLER must unlock
    [p.m] on the way out, or every later acquirer deadlocks. *)
@@ -97,28 +67,21 @@ let take_locked p words =
 
 let acquire p ~words =
   Mutex.lock p.m;
-  if not (fits_eventually p words) then begin
-    let cap = Option.get p.capacity_words in
+  while not (has_room p) do
+    Condition.wait p.cv p.m
+  done;
+  match take_locked p words with
+  | a ->
     Mutex.unlock p.m;
-    Error (Capacity_exceeded { requested_words = words; capacity_words = cap })
-  end
-  else begin
-    while not (fits_now p words) do
-      Condition.wait p.cv p.m
-    done;
-    match take_locked p words with
-    | a ->
-      Mutex.unlock p.m;
-      Ok a
-    | exception e ->
-      Mutex.unlock p.m;
-      raise e
-  end
+    a
+  | exception e ->
+    Mutex.unlock p.m;
+    raise e
 
 let try_acquire p ~words =
   Mutex.lock p.m;
   let r =
-    if fits_eventually p words && fits_now p words then
+    if has_room p then
       match take_locked p words with
       | a -> Some a
       | exception e ->
@@ -131,9 +94,9 @@ let try_acquire p ~words =
 
 let memory a = a.mem
 
-(* caller holds [a.pool.m] *)
-let release_locked a =
+let release a =
   let p = a.pool in
+  Mutex.lock p.m;
   if not a.released then begin
     a.released <- true;
     List.iter (fun (name, cells) ->
@@ -147,60 +110,8 @@ let release_locked a =
     p.words_in_use <- p.words_in_use - a.words;
     emit_occupancy p;
     Condition.broadcast p.cv
-  end
-
-let release a =
-  let p = a.pool in
-  Mutex.lock p.m;
-  release_locked a;
+  end;
   Mutex.unlock p.m
-
-(* Transactional multi-arena acquisition: all requests are granted
-   under one critical section — two concurrent half-granted callers can
-   therefore never deadlock each other — and a fork failure mid-way
-   rolls the already-granted arenas back into the pool before the
-   exception propagates, so neither views nor reserved words leak and
-   [peak_in_use] reflects only acquisitions that fully succeeded. *)
-let acquire_all p ~words =
-  let total = List.fold_left ( + ) 0 words in
-  let k = List.length words in
-  Mutex.lock p.m;
-  if not (fits_eventually p total) then begin
-    let cap = Option.get p.capacity_words in
-    Mutex.unlock p.m;
-    Error (Capacity_exceeded { requested_words = total; capacity_words = cap })
-  end
-  else if (match p.max_arenas with Some m -> k > m | None -> false) then begin
-    let m = Option.get p.max_arenas in
-    Mutex.unlock p.m;
-    Error (Too_many_arenas { requested = k; max_arenas = m })
-  end
-  else begin
-    let peak0 = p.peak_in_use in
-    let fits_all_now () =
-      (match p.max_arenas with Some m -> p.in_use + k <= m | None -> true)
-      && (match p.capacity_words with
-          | Some cap -> p.words_in_use + total <= cap
-          | None -> true)
-    in
-    while not (fits_all_now ()) do
-      Condition.wait p.cv p.m
-    done;
-    let taken = ref [] in
-    match
-      List.iter (fun w -> taken := take_locked p w :: !taken) words
-    with
-    | () ->
-      let arenas = List.rev !taken in
-      Mutex.unlock p.m;
-      Ok arenas
-    | exception e ->
-      List.iter release_locked !taken;
-      (* a partial grant must not move the high-water mark *)
-      p.peak_in_use <- max peak0 p.in_use;
-      Mutex.unlock p.m;
-      raise e
-  end
 
 let in_use p =
   Mutex.lock p.m;

@@ -3,9 +3,10 @@
     An arena is a {!Emsc_machine.Memory.fork_view} of the launch
     memory: globals are shared physically, local buffers are private to
     the block executing in the arena.  The pool enforces the machine's
-    concurrency limits — total scratchpad capacity in words and the
-    concurrent-blocks rule from [Timing.occupancy] — and recycles
-    released views so steady-state acquisition allocates nothing.
+    concurrent-blocks rule from [Timing.occupancy] (at most
+    [max_arenas] held at once), tracks the words the held arenas
+    reserve for the occupancy samples, and recycles released views so
+    steady-state acquisition allocates nothing.
 
     Thread-safe: acquire/release may be called from any domain. *)
 
@@ -14,33 +15,17 @@ open Emsc_machine
 type pool
 type t
 
-type error =
-  | Capacity_exceeded of {
-      requested_words : int;
-      capacity_words : int;
-    }  (** the request alone can never fit the pool *)
-  | Too_many_arenas of {
-      requested : int;
-      max_arenas : int;
-    }
-      (** an {!acquire_all} batch wider than the concurrent-arena cap
-          can never be granted atomically *)
-
-val error_message : error -> string
-
 val create_pool :
-  ?capacity_words:int ->
   ?max_arenas:int ->
   ?fork:(Memory.t -> Memory.t) ->
   base:Memory.t ->
   unit ->
   pool
-(** [capacity_words]: total scratchpad words arenas may hold at once
-    (unbounded when omitted).  [max_arenas]: concurrent-arena cap, the
-    occupancy rule (unbounded when omitted).  [base] supplies the
-    shared globals and the set of declared local buffer names.
-    [fork] (default {!Memory.fork_view}) creates each fresh view; tests
-    inject a raising fork to exercise the pool's failure paths. *)
+(** [max_arenas]: concurrent-arena cap, the occupancy rule (unbounded
+    when omitted).  [base] supplies the shared globals and the set of
+    declared local buffer names.  [fork] (default
+    {!Memory.fork_view}) creates each fresh view; tests inject a
+    raising fork to exercise the pool's failure path. *)
 
 val set_event_ring : pool -> Emsc_obs.Events.ring -> unit
 (** Record an {!Emsc_obs.Events.Occupancy} sample (words and arenas in
@@ -49,26 +34,16 @@ val set_event_ring : pool -> Emsc_obs.Events.ring -> unit
     contract holds even though acquire/release run on many domains.
     No-op cost when events are disabled. *)
 
-val acquire : pool -> words:int -> (t, error) result
-(** Reserve [words] of scratchpad and hand out a view.  Blocks while
-    the pool is momentarily full; returns [Error] only for requests
-    that can never be satisfied.  Exception-safe: if forking the view
-    raises, the pool is left exactly as found — counters untouched,
-    mutex released — and the exception propagates. *)
+val acquire : pool -> words:int -> t
+(** Reserve an arena of [words] scratchpad words and hand out a view,
+    blocking while [max_arenas] are held.  Exception-safe: if forking
+    the view raises, the pool is left exactly as found — counters
+    untouched, mutex released — and the exception propagates. *)
 
 val try_acquire : pool -> words:int -> t option
 (** Non-blocking variant for opportunistic use (DMA prefetch): [None]
-    when the pool is full right now or the request can never fit.
-    Exception-safe like {!acquire}. *)
-
-val acquire_all : pool -> words:int list -> (t list, error) result
-(** Transactional batch acquisition: reserve one arena per element of
-    [words], all inside a single critical section, so two concurrent
-    batch acquirers can never deadlock on half-granted requests.
-    Blocks until the whole batch fits at once.  If forking a view
-    raises mid-batch, the arenas already granted are rolled back into
-    the pool (no slab leak, no [peak_in_use] skew) before the exception
-    propagates. *)
+    when the pool is full right now.  Exception-safe like
+    {!acquire}. *)
 
 val memory : t -> Memory.t
 

@@ -3,27 +3,21 @@ open Emsc_codegen
 open Emsc_machine
 module Ev = Emsc_obs.Events
 
-type policy = Static | Work_stealing
-
 type cfg = {
   jobs : int;
-  policy : policy;
   double_buffer : bool;
   track_ownership : bool;
-  capacity_words : int option;
   max_concurrent_blocks : int option;
   block_words : int;
   inter_tile_reuse : bool;
 }
 
 let default_cfg ~jobs =
-  { jobs = max 1 jobs; policy = Static; double_buffer = false;
-    track_ownership = false; capacity_words = None;
+  { jobs = max 1 jobs; double_buffer = false; track_ownership = false;
     max_concurrent_blocks = None; block_words = 0;
     inter_tile_reuse = false }
 
 exception Ownership_violation of string
-exception Runtime_error of string
 
 (* ----------------------------------------------------------------- *)
 (* Phase splitting                                                    *)
@@ -225,35 +219,6 @@ let tracker_record tr block arr addr kind =
      | _ -> ()));
   Mutex.unlock tr.tr_m
 
-(* ----------------------------------------------------------------- *)
-(* Movement accounting (reduced on the main domain)                   *)
-
-type dma_acc = {
-  mutable acc_copies : float;
-  acc_in : (string, float ref) Hashtbl.t;
-  acc_out : (string, float ref) Hashtbl.t;
-}
-
-let fresh_acc () =
-  { acc_copies = 0.; acc_in = Hashtbl.create 4; acc_out = Hashtbl.create 4 }
-
-let acc_add acc (d : Exec.block_dma) =
-  let bump tbl (name, words) =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := !r +. words
-    | None -> Hashtbl.replace tbl name (ref words)
-  in
-  acc.acc_copies <- acc.acc_copies +. d.Exec.copies;
-  List.iter (bump acc.acc_in) d.Exec.moved_in;
-  List.iter (bump acc.acc_out) d.Exec.moved_out
-
-let acc_dma acc : Exec.block_dma =
-  let sorted tbl =
-    Hashtbl.fold (fun n r l -> (n, !r) :: l) tbl [] |> List.sort compare
-  in
-  { Exec.copies = acc.acc_copies; moved_in = sorted acc.acc_in;
-    moved_out = sorted acc.acc_out }
-
 (* per-channel transfer statistics; each worker owns its own slot, the
    launch barrier publishes them to the main domain *)
 type chan_stat = {
@@ -277,7 +242,7 @@ type rt = {
   user_hook : (string -> int -> [ `Ld | `St ] -> unit) option;
   hook_m : Mutex.t;
   totals : Exec.counters;
-  run_dma : dma_acc;
+  run_dma : Exec.dma_tally;
   chan_stats : chan_stat array;
   ev : Ev.ring array option;
       (* per-worker exec rings; [None] when events are disabled, so
@@ -308,33 +273,15 @@ let block_hook rt tracker i =
         | None -> ())
 
 let acquire_arena ?er rt =
-  let res =
-    match er with
-    | Some r when Ev.enabled () ->
-      (* records the wait for pool capacity; ~0-length when the pool
-         has room immediately *)
-      let t0 = Ev.now () in
-      let res = Arena.acquire rt.apool ~words:rt.cfg.block_words in
-      Ev.emit r ~t0 (Ev.Idle `Arena);
-      res
-    | _ -> Arena.acquire rt.apool ~words:rt.cfg.block_words
-  in
-  match res with
-  | Ok a -> a
-  | Error e -> raise (Runtime_error (Arena.error_message e))
-
-let merge_outcomes (a : Exec.block_outcome option)
-    (b : Exec.block_outcome option) (c : Exec.block_outcome option) =
-  let acc = fresh_acc () in
-  let counters = Exec.fresh () in
-  List.iter
-    (function
-      | None -> ()
-      | Some (o : Exec.block_outcome) ->
-        Exec.add_into o.Exec.b_counters counters;
-        acc_add acc o.Exec.b_dma)
-    [ a; b; c ];
-  (counters, acc_dma acc)
+  match er with
+  | Some r when Ev.enabled () ->
+    (* records the wait for pool capacity; ~0-length when the pool has
+       room immediately *)
+    let t0 = Ev.now () in
+    let a = Arena.acquire rt.apool ~words:rt.cfg.block_words in
+    Ev.emit r ~t0 Ev.Arena_wait;
+    a
+  | _ -> Arena.acquire rt.apool ~words:rt.cfg.block_words
 
 type launch_slots = {
   launch_id : int;  (* tags events so the report can group by launch *)
@@ -357,41 +304,17 @@ let run_phase rt st hook i ~memory phase =
   Exec.run_block rt.session ~memory ?on_global:(hook i)
     ~collect_dma:rt.collect_dma ~bindings phase
 
-(* run one block body in a caller-supplied arena *)
-let exec_task_in_arena rt st hook w i arena =
-  let _, body = st.tasks.(i) in
-  let er = ev_ring rt w in
-  (match er with
-   | Some r when Ev.enabled () ->
-     let t0 = Ev.now () in
-     st.core_slots.(i) <-
-       Some (run_phase rt st hook i ~memory:(Arena.memory arena) body);
-     Ev.emit r ~t0
-       (Ev.Block { launch = st.launch_id; block = i; phase = Ev.Whole })
-   | _ ->
-     st.core_slots.(i) <-
-       Some (run_phase rt st hook i ~memory:(Arena.memory arena) body));
-  st.chan_of.(i) <- w
-
-(* simple path: the whole block body runs on the worker in a fresh
-   arena *)
-let exec_task_plain rt st hook w i =
-  let er = ev_ring rt w in
-  let arena = acquire_arena ?er rt in
-  Fun.protect ~finally:(fun () -> Arena.release arena) @@ fun () ->
-  exec_task_in_arena rt st hook w i arena
-
-(* inter-tile reuse path: tasks are partitioned into chains (runs of
-   consecutive blocks that differ only in the innermost block origin);
-   a whole chain executes on one worker in ONE arena, so local buffers
-   — and in particular the resident slabs the plan's delta guards rely
-   on — survive from block to block.  The arena is released (locals
-   cleared) only at chain boundaries; a fresh chain therefore always
-   starts from a clean scratchpad and its first block's full move-in.
-   Assignment is chain-static ([chain mod jobs]): stealing mid-chain
-   would break residency, and the barrier reduction keeps counter
-   totals bit-identical regardless of worker count anyway. *)
-let exec_tasks_chained rt st hook chain_id w =
+(* The one schedule: tasks are partitioned into chains, and chain [c]
+   runs on worker [c mod jobs] in ONE arena.  A chain is a single block
+   unless the plan carries inter-tile delta guards; then it is a run of
+   consecutive blocks differing only in the innermost block origin, so
+   local buffers — and in particular the resident slabs the delta
+   guards rely on — survive from block to block.  The arena is
+   released (locals cleared) only at chain boundaries; a fresh chain
+   therefore always starts from a clean scratchpad and its first
+   block's full move-in.  The barrier reduction keeps counter totals
+   bit-identical regardless of worker count. *)
+let exec_chains rt st hook chain_id w =
   let n = Array.length st.tasks in
   let jobs = rt.wpool.Pool.jobs in
   let er = ev_ring rt w in
@@ -413,7 +336,16 @@ let exec_tasks_chained rt st hook chain_id w =
         arena := Some (acquire_arena ?er rt);
         prev_chain := c
       end;
-      exec_task_in_arena rt st hook w i (Option.get !arena)
+      let memory = Arena.memory (Option.get !arena) in
+      let _, body = st.tasks.(i) in
+      (match er with
+       | Some r when Ev.enabled () ->
+         let t0 = Ev.now () in
+         st.core_slots.(i) <- Some (run_phase rt st hook i ~memory body);
+         Ev.emit r ~t0
+           (Ev.Block { launch = st.launch_id; block = i; phase = Ev.Whole })
+       | _ -> st.core_slots.(i) <- Some (run_phase rt st hook i ~memory body));
+      st.chan_of.(i) <- w
     end
   done
 
@@ -442,9 +374,22 @@ let chain_ids tasks =
   done;
   ids
 
-(* double-buffered path: the worker's DMA channel carries the move
-   phases; block j+1's move-in is staged while block j computes *)
-let exec_tasks_pipelined rt st hook (ins, core, outs) w next_task =
+(* double-buffered path: worker [w] runs blocks [w], [w + jobs], ...;
+   its DMA channel carries the move phases, and block j+1's move-in is
+   staged while block j computes *)
+let exec_pipelined rt st hook (ins, core, outs) w =
+  let n = Array.length st.tasks in
+  let jobs = rt.wpool.Pool.jobs in
+  let next_task =
+    let k = ref w in
+    fun () ->
+      if !k < n then begin
+        let i = !k in
+        k := i + jobs;
+        Some i
+      end
+      else None
+  in
   let chan = rt.channels.(w) in
   let er = ev_ring rt w in
   let events_on = rt.ev <> None in
@@ -537,17 +482,14 @@ let exec_launch rt host_bindings (l : Ast.loop) =
   else begin
     let module J = Emsc_obs.Json in
     Emsc_obs.Prof.probe "runtime.launch"
-      ~args:
+      ~args:(fun () ->
         [ ("grid", J.Float (float_of_int n));
           ("jobs", J.Int rt.cfg.jobs);
-          ( "policy",
-            J.Str
-              (if rt.cfg.inter_tile_reuse then "chain-static"
-               else
-                 match rt.cfg.policy with
-                 | Static -> "static"
-                 | Work_stealing -> "work-stealing") ) ]
+          ("chained", J.Bool rt.cfg.inter_tile_reuse) ])
     @@ fun () ->
+    let chain_id =
+      if rt.cfg.inter_tile_reuse then chain_ids tasks else Array.init n Fun.id
+    in
     let launch_id = rt.launch_seq in
     rt.launch_seq <- launch_id + 1;
     let st =
@@ -558,9 +500,9 @@ let exec_launch rt host_bindings (l : Ast.loop) =
     let tracker = if rt.cfg.track_ownership then Some (fresh_tracker ()) else None in
     let hook = block_hook rt tracker in
     let _, body0 = tasks.(0) in
-    (* residency needs the plain path: the pipelined executor releases
-       each block's arena after its move-out, which would wipe the
-       resident slab between blocks of a chain *)
+    (* residency needs whole-chain arenas: the pipelined executor
+       releases each block's arena after its move-out, which would wipe
+       the resident slab between blocks of a chain *)
     let phases =
       if
         rt.cfg.double_buffer && (not rt.cfg.inter_tile_reuse)
@@ -568,97 +510,35 @@ let exec_launch rt host_bindings (l : Ast.loop) =
       then pipeline_phases body0
       else None
     in
-    (* the task source is built once per launch — with Work_stealing
-       the deques must be shared by every worker *)
-    let next_task =
-      match rt.cfg.policy with
-      | Static ->
-        fun w ->
-          let k = ref w in
-          fun () ->
-            if !k < n then begin
-              let i = !k in
-              k := !k + rt.wpool.Pool.jobs;
-              Some i
-            end
-            else None
-      | Work_stealing ->
-        let jobs = rt.wpool.Pool.jobs in
-        let chunk = (n + jobs - 1) / jobs in
-        let deques =
-          Array.init jobs (fun v ->
-            Deque.of_range ~lo:(min n (v * chunk)) ~hi:(min n ((v + 1) * chunk)))
-        in
-        fun w () ->
-          match Deque.next deques.(w) with
-          | Some i -> Some i
-          | None ->
-            let record victim ok =
-              match ev_ring rt w with
-              | Some r when Ev.enabled () ->
-                let t = Ev.now () in
-                Ev.emit r ~t0:t ~t1:t (Ev.Steal { victim; ok })
-              | _ -> ()
-            in
-            let rec scan k =
-              if k = jobs then None
-              else begin
-                let victim = (w + k) mod jobs in
-                match Deque.steal deques.(victim) with
-                | Some i ->
-                  record victim true;
-                  Some i
-                | None ->
-                  record victim false;
-                  scan (k + 1)
-              end
-            in
-            scan 1
-    in
-    let chains =
-      if rt.cfg.inter_tile_reuse then Some (chain_ids tasks) else None
-    in
     Pool.dispatch rt.wpool (fun w ->
-      match chains with
-      | Some chain_id -> exec_tasks_chained rt st hook chain_id w
-      | None -> (
-        let next = next_task w in
-        match phases with
-        | Some p -> exec_tasks_pipelined rt st hook p w next
-        | None ->
-          let rec drain () =
-            match next () with
-            | None -> ()
-            | Some i ->
-              exec_task_plain rt st hook w i;
-              drain ()
-          in
-          drain ()));
+      match phases with
+      | Some p -> exec_pipelined rt st hook p w
+      | None -> exec_chains rt st hook chain_id w);
     (match tracker with
      | Some { violation = Some msg; _ } -> raise (Ownership_violation msg)
      | _ -> ());
     (* barrier reduction, in block order: exact for the integer-valued
-       counters, so totals are independent of jobs and policy *)
+       counters, so totals are independent of jobs *)
     let delta = Exec.fresh () in
     for i = 0 to n - 1 do
-      let c, dma =
-        merge_outcomes st.in_slots.(i) st.core_slots.(i) st.out_slots.(i)
-      in
-      Exec.add_into c delta;
-      acc_add rt.run_dma dma;
       let cs = rt.chan_stats.(st.chan_of.(i)) in
-      List.iter (fun (_, words) -> cs.in_words <- cs.in_words +. words)
-        dma.Exec.moved_in;
-      List.iter (fun (_, words) -> cs.out_words <- cs.out_words +. words)
-        dma.Exec.moved_out;
-      if dma.Exec.copies > 0.0 then cs.transfers <- cs.transfers +. 1.0
+      let copies = ref 0.0 in
+      List.iter
+        (function
+          | None -> ()
+          | Some (o : Exec.block_outcome) ->
+            let dma = o.Exec.b_dma in
+            Exec.add_into o.Exec.b_counters delta;
+            Exec.tally_add rt.run_dma dma;
+            cs.in_words <- cs.in_words +. sum_words dma.Exec.moved_in;
+            cs.out_words <- cs.out_words +. sum_words dma.Exec.moved_out;
+            copies := !copies +. dma.Exec.copies)
+        [ st.in_slots.(i); st.core_slots.(i); st.out_slots.(i) ];
+      if !copies > 0.0 then cs.transfers <- cs.transfers +. 1.0
     done;
     Exec.add_into delta rt.totals;
     rt.blocks_run <- rt.blocks_run + n;
-    Emsc_obs.Prof.add "launch.flops" delta.Exec.flops;
-    Emsc_obs.Prof.add "launch.global" (Exec.total_global delta);
-    Emsc_obs.Prof.add "launch.smem" (Exec.total_smem delta);
-    Emsc_obs.Prof.add "launch.syncs" delta.Exec.syncs;
+    Exec.prof_launch delta;
     let grid = float_of_int n in
     rt.launches <-
       { Exec.grid; per_block = Exec.scale_counters delta (1.0 /. grid);
@@ -674,7 +554,7 @@ let exec_host_leaf rt host_bindings (s : Ast.stm) =
       ?on_global:rt.user_hook ~collect_dma:rt.collect_dma ~bindings [ s ]
   in
   Exec.add_into o.Exec.b_counters rt.totals;
-  acc_add rt.run_dma o.Exec.b_dma
+  Exec.tally_add rt.run_dma o.Exec.b_dma
 
 let rec exec_host rt host_bindings (s : Ast.stm) =
   match s with
@@ -713,34 +593,17 @@ let rec exec_host rt host_bindings (s : Ast.stm) =
   | s -> exec_host_leaf rt host_bindings s
 
 let flush_metrics rt =
+  (* per-block scratchpad peaks, observed at arena release: tighter
+     than the sequential executor's cumulative union of windows *)
+  Exec.record_run_metrics rt.totals rt.run_dma ~occupancy:(fun () ->
+    Arena.peak_occupancy rt.apool);
   if Emsc_obs.Metrics.enabled () then begin
     let open Emsc_obs in
-    Exec.flush_dma_metrics (acc_dma rt.run_dma);
-    Metrics.counter "exec.runs" 1.0;
-    Metrics.counter "exec.flops" rt.totals.Exec.flops;
-    Metrics.counter "exec.global_loads" rt.totals.Exec.g_ld;
-    Metrics.counter "exec.global_stores" rt.totals.Exec.g_st;
-    Metrics.counter "exec.smem_loads" rt.totals.Exec.s_ld;
-    Metrics.counter "exec.smem_stores" rt.totals.Exec.s_st;
-    Metrics.counter "exec.syncs" rt.totals.Exec.syncs;
-    Metrics.counter "exec.fences" rt.totals.Exec.fences;
     Metrics.counter "runtime.blocks" (float_of_int rt.blocks_run);
     Metrics.counter "runtime.launches"
       (float_of_int (List.length rt.launches));
     Metrics.gauge_max "runtime.arena_peak_concurrent"
       (float_of_int (Arena.peak_in_use rt.apool));
-    (* per-block scratchpad peaks, observed at arena release: tighter
-       than the sequential executor's cumulative union of windows *)
-    let occ = Arena.peak_occupancy rt.apool in
-    List.iter
-      (fun (name, cells) ->
-        Metrics.gauge_max
-          ~labels:[ ("buffer", name) ]
-          "exec.scratchpad_occupancy_words" (float_of_int cells))
-      occ;
-    if occ <> [] then
-      Metrics.gauge_max "exec.scratchpad_occupancy_total_words"
-        (float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 occ));
     Array.iteri
       (fun i cs ->
         if cs.transfers > 0.0 then begin
@@ -757,8 +620,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
   let cfg = { cfg with jobs = max 1 cfg.jobs } in
   let session = Exec.session ~prog ?local_ref ~param_env () in
   let apool =
-    Arena.create_pool ?capacity_words:cfg.capacity_words
-      ?max_arenas:cfg.max_concurrent_blocks ~base:memory ()
+    Arena.create_pool ?max_arenas:cfg.max_concurrent_blocks ~base:memory ()
   in
   let wpool = Pool.create cfg.jobs in
   let channels =
@@ -789,7 +651,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
       collect_dma = Emsc_obs.Metrics.enabled () || Ev.enabled ();
       user_hook = on_global;
       hook_m = Mutex.create (); totals = Exec.fresh ();
-      run_dma = fresh_acc ();
+      run_dma = Exec.fresh_tally ();
       chan_stats =
         Array.init cfg.jobs (fun _ ->
           { in_words = 0.; out_words = 0.; transfers = 0. });
@@ -801,7 +663,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
       Array.iter Dma.shutdown channels)
   @@ fun () ->
   Emsc_obs.Prof.probe "runtime.run"
-    ~args:[ ("jobs", Emsc_obs.Json.Int cfg.jobs) ]
+    ~args:(fun () -> [ ("jobs", Emsc_obs.Json.Int cfg.jobs) ])
   @@ fun () ->
   List.iter (exec_host rt []) stms;
   flush_metrics rt;

@@ -3,15 +3,19 @@
     Executes a compiled kernel AST with true parallelism on OCaml 5
     domains, realizing the machine model the compiler targets: each
     launch's outermost band of [Block]-parallel loops is decomposed
-    into block tasks dispatched over a fixed domain pool; every block
-    runs in its own scratchpad {!Arena} (shared globals, private
-    locals); when [double_buffer] is set and the block body has the
-    canonical move-in / compute / move-out shape, the move phases run
-    asynchronously on per-worker {!Dma} channels, overlapping block
-    [j]'s compute with block [j+1]'s move-in.  Launches are separated
-    by global barriers: all block tasks join, counters are reduced in
-    block order (bit-identical to sequential execution for any [jobs]
-    value and either policy), and movement metrics are fenced out.
+    into block tasks run by a fixed domain pool under one static
+    schedule.  The blocks are grouped into chains — a chain is a single
+    block unless the plan carries inter-tile delta guards — and chain
+    [c] runs on worker [c mod jobs] in one scratchpad {!Arena} (shared
+    globals, private locals), at most [max_concurrent_blocks] arenas
+    held at once.  When [double_buffer] is set and the block body has
+    the canonical move-in / compute / move-out shape, worker [w] runs
+    blocks [w], [w + jobs], ... with the move phases on its own
+    asynchronous {!Dma} channel, overlapping block [j]'s compute with
+    block [j+1]'s move-in.  Launches are separated by global barriers:
+    all block tasks join, counters are reduced in block order
+    (bit-identical to sequential execution for any [jobs] value), and
+    movement metrics are fenced out.
 
     Determinism rests on the plan's launch race-freedom: blocks of one
     launch write disjoint global cells and never read another block's
@@ -26,43 +30,32 @@ open Emsc_ir
 open Emsc_codegen
 open Emsc_machine
 
-type policy =
-  | Static  (** block [i] goes to worker [i mod jobs] *)
-  | Work_stealing
-      (** contiguous chunks seeded per worker; idle workers steal from
-          the far end of a victim's deque *)
-
 type cfg = {
   jobs : int;                    (** worker domains *)
-  policy : policy;
   double_buffer : bool;          (** pipeline move phases on DMA channels *)
   track_ownership : bool;
       (** debug: detect cross-block global write conflicts and
           reads-of-foreign-writes within a launch *)
-  capacity_words : int option;   (** arena pool capacity *)
   max_concurrent_blocks : int option;
       (** concurrent-arena cap; [Timing.occupancy]'s rule *)
   block_words : int;
-      (** estimated per-block scratchpad words, the pool accounting
-          unit (0 = unknown, arenas are unaccounted) *)
+      (** estimated per-block scratchpad words, reported in the arena
+          occupancy samples (0 = unknown) *)
   inter_tile_reuse : bool;
       (** the plan carries inter-tile delta movement (guarded
-          full/delta nests from [Plan.plan_block ~inter_tile]): group
-          consecutive blocks differing only in the innermost block
-          origin into chains, run each chain on one worker in ONE
-          arena so resident slabs survive between blocks, and schedule
-          chain-statically ([chain mod jobs]) — [policy] and
-          [double_buffer] are ignored, since stealing or releasing
-          arenas mid-chain would wipe residency.  Counter totals stay
-          bit-identical to sequential execution. *)
+          full/delta nests from [Plan.plan_block ~inter_tile]): chains
+          are runs of consecutive blocks differing only in the
+          innermost block origin, so resident slabs survive between
+          the blocks of one arena, and [double_buffer] is ignored,
+          since releasing arenas mid-chain would wipe residency.
+          Counter totals stay bit-identical to sequential execution. *)
 }
 
 val default_cfg : jobs:int -> cfg
-(** [Static], no double buffering, no tracking, unbounded pool, no
-    inter-tile reuse. *)
+(** No double buffering, no tracking, unbounded pool, no inter-tile
+    reuse. *)
 
 exception Ownership_violation of string
-exception Runtime_error of string
 
 val pipeline_phases :
   Ast.stm list -> (Ast.stm list * Ast.stm list * Ast.stm list) option
@@ -85,5 +78,4 @@ val run :
     enumeration), same global-array contents.  Host-level statements
     (outside any block loop) execute on the calling domain.
     [on_global], when given, is serialized under a mutex.
-    @raise Ownership_violation when [track_ownership] finds a race.
-    @raise Runtime_error when a block's arena can never fit the pool. *)
+    @raise Ownership_violation when [track_ownership] finds a race. *)

@@ -103,6 +103,14 @@ let job_of_request ~default_machine ~name ~text (o : P.options_req) =
 
 (* --- request execution ---------------------------------------------------- *)
 
+(* one constant probe label per op: nothing is built per request *)
+let probe_label : P.op -> string = function
+  | P.Compile _ -> "serve.compile"
+  | P.Analyze _ -> "serve.analyze"
+  | P.Check _ -> "serve.check"
+  | P.Status -> "serve.status"
+  | P.Shutdown -> "serve.shutdown"
+
 (* Runs one already-admitted operation.  [Ok (result, server)] is the
    deterministic payload plus the non-deterministic per-request server
    fields; rejects carry typed codes the client can branch on. *)
@@ -240,7 +248,7 @@ let run (cfg : config) : stats =
     else begin
       let opn = P.op_name t.t_req.P.op in
       let result =
-        Prof.probe ("serve." ^ opn) (fun () ->
+        Prof.probe (probe_label t.t_req.P.op) (fun () ->
           execute ~cache:cfg.cache ~default_machine:cfg.default_machine
             t.t_req.P.op)
       in

@@ -179,10 +179,10 @@ let pipeline_problem ~prog ~spec_of ~ranges ~mem_limit_words ~threads
   let zero_env _ = Zint.zero in
   let evaluate t =
     Emsc_obs.Prof.probe "tilesearch.evaluate"
-      ~args:
+      ~args:(fun () ->
         [ ( "t",
             Emsc_obs.Json.List
-              (Array.to_list (Array.map (fun v -> Emsc_obs.Json.Int v) t)) ) ]
+              (Array.to_list (Array.map (fun v -> Emsc_obs.Json.Int v) t)) ) ])
     @@ fun () ->
     match
       let spec = spec_of t in

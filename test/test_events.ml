@@ -104,7 +104,7 @@ let test_disabled_no_allocation () =
 (* ------------------------------------------------------------------ *)
 
 (* worker0: compute [0,2] and [3,5] with a DMA wait [2,3] between;
-   worker1: two steal attempts, one hit, otherwise idle;
+   worker1: an arena wait [1,2], otherwise idle;
    dma0: one 100-word move-in [1,4];
    arena: occupancy 10 words then 4.
    Everything below is checked against pencil-and-paper arithmetic. *)
@@ -116,8 +116,7 @@ let synthetic_tracks () =
   Events.emit w0 ~t0:0.0 ~t1:2.0 (block ~launch:0 ~block:0 Events.Compute);
   Events.emit w0 ~t0:2.0 ~t1:3.0 (Events.Dma_wait { launch = 0; block = 1 });
   Events.emit w0 ~t0:3.0 ~t1:5.0 (block ~launch:0 ~block:1 Events.Compute);
-  Events.emit w1 ~t0:1.0 ~t1:1.0 (Events.Steal { victim = 0; ok = true });
-  Events.emit w1 ~t0:2.0 ~t1:2.0 (Events.Steal { victim = 0; ok = false });
+  Events.emit w1 ~t0:1.0 ~t1:2.0 Events.Arena_wait;
   Events.emit d0 ~t0:1.0 ~t1:4.0
     (Events.Dma_transfer { launch = 0; block = 1; dir = `In; words = 100.0 });
   Events.emit ar ~t0:1.0 ~t1:1.0 (Events.Occupancy { words = 10; arenas = 1 });
@@ -137,9 +136,9 @@ let test_report_arithmetic () =
          checkf "worker0 dma-wait" 1.0 d0.Runtime_report.d_dma_wait_s;
          checkf "worker0 idle" 0.0 d0.Runtime_report.d_idle_s;
          checki "worker0 blocks" 2 d0.Runtime_report.d_blocks;
+         (* an arena wait is neither busy nor a DMA wait *)
          checkf "worker1 idle" 5.0 d1.Runtime_report.d_idle_s;
-         checki "worker1 attempts" 2 d1.Runtime_report.d_steal_attempts;
-         checki "worker1 hits" 1 d1.Runtime_report.d_steal_hits
+         checki "worker1 blocks" 0 d1.Runtime_report.d_blocks
        | ds -> Alcotest.failf "expected 2 domains, got %d" (List.length ds));
       checkf "compute busy (union)" 4.0 r.Runtime_report.compute_busy_s;
       checkf "dma busy" 3.0 r.Runtime_report.dma_busy_s;
@@ -279,8 +278,7 @@ let test_merged_chrome () =
         in
         List.iter (fun n ->
           checkb (n ^ " event present") true (List.mem n names))
-          [ "compute"; "dma-in"; "dma-wait"; "steal"; "steal-miss";
-            "occupancy" ]);
+          [ "compute"; "dma-in"; "dma-wait"; "arena-wait"; "occupancy" ]);
       (* with the runtime rings drained away, the merged export reduces
          to exactly the compile-only document *)
       Events.reset ();

@@ -116,6 +116,30 @@ let test_exception_still_records () =
     Prof.probe "after" (fun () -> ());
     ignore (frame (Prof.snapshot ()) [ "after" ]))
 
+(* [args] feed the span tree only: the thunk must not run while probes
+   or the tree are off, and runs exactly once per recorded node *)
+let test_args_thunk_only_with_tree () =
+  let calls = ref 0 in
+  let args () =
+    incr calls;
+    [ ("k", Json.Int 7) ]
+  in
+  Prof.reset ();
+  Prof.disable ();
+  ignore (Prof.probe ~args "off" (fun () -> 1));
+  checki "probes off: thunk not called" 0 !calls;
+  with_prof (fun () ->
+    ignore (Prof.probe ~args "no-tree" (fun () -> 1));
+    checki "tree off: thunk not called" 0 !calls;
+    Prof.enable_tree ();
+    Fun.protect ~finally:Prof.disable_tree (fun () ->
+      ignore (Prof.probe ~args "tree" (fun () -> 1));
+      checki "tree on: thunk called once" 1 !calls;
+      match List.filter (fun n -> n.Prof.name = "tree") (Prof.roots ()) with
+      | [ n ] ->
+        checkb "args land on the node" true (n.Prof.args = [ ("k", Json.Int 7) ])
+      | ns -> Alcotest.failf "expected one tree node, got %d" (List.length ns)))
+
 let test_four_domain_hammer_exact_counts () =
   with_prof (fun () ->
     let iters = 1000 in
@@ -396,6 +420,8 @@ let () =
             test_caller_attribution_and_self_time;
           Alcotest.test_case "exception still records" `Quick
             test_exception_still_records;
+          Alcotest.test_case "args thunk only with the tree" `Quick
+            test_args_thunk_only_with_tree;
           Alcotest.test_case "4-domain hammer, exact counts" `Quick
             test_four_domain_hammer_exact_counts ] );
       ( "poly",

@@ -1,8 +1,9 @@
 (* lib/runtime: the block-parallel execution backend.  Bit-for-bit
    equality with the sequential interpreter (arrays, counter totals,
-   launch shapes) across job counts, policies and double buffering;
-   arena-pool semantics; the DMA pipeline splitter; the write-ownership
-   tracker; and the double-buffer capacity rule. *)
+   launch shapes) across job counts and double buffering; the one
+   static block schedule; arena-pool semantics; the DMA pipeline
+   splitter; the write-ownership tracker; and the double-buffer
+   capacity rule. *)
 
 open Emsc_arith
 open Emsc_ir
@@ -38,8 +39,8 @@ let check_same (prog : Prog.t) (m_seq, r_seq) (m_par, r_par) =
 let simulate_seq c =
   Runner.simulate ~mode:Exec.Full ~memory:Runner.Pseudorandom c
 
-let simulate_par ?policy ?(double_buffer = false) ~jobs c =
-  Runner.simulate ~memory:Runner.Pseudorandom ~backend:(`Par jobs) ?policy
+let simulate_par ?(double_buffer = false) ~jobs c =
+  Runner.simulate ~memory:Runner.Pseudorandom ~backend:(`Par jobs)
     ~double_buffer ~track_ownership:true c
 
 (* --- parallel == sequential on real kernels ------------------------------ *)
@@ -54,16 +55,13 @@ let test_par_matches_seq_me () =
   let seq = simulate_seq c in
   check_same c.Pipeline.prog seq (simulate_par ~jobs:4 c)
 
-let test_policies_and_double_buffer_match () =
+(* the static schedule with and without the DMA pipeline *)
+let test_static_with_and_without_double_buffer () =
   let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
   let seq = simulate_seq c in
-  check_same c.Pipeline.prog seq
-    (simulate_par ~policy:Runtime.Work_stealing ~jobs:4 c);
-  check_same c.Pipeline.prog seq
-    (simulate_par ~policy:Runtime.Static ~double_buffer:true ~jobs:4 c);
-  check_same c.Pipeline.prog seq
-    (simulate_par ~policy:Runtime.Work_stealing ~double_buffer:true ~jobs:2
-       c)
+  List.iter (fun (jobs, double_buffer) ->
+    check_same c.Pipeline.prog seq (simulate_par ~double_buffer ~jobs c))
+    [ (4, false); (4, true); (2, false); (2, true) ]
 
 (* job-count invariance: the barrier reduction runs in block order, so
    the totals must not depend on how blocks were spread over domains *)
@@ -154,30 +152,17 @@ let test_tracker_off_by_default () =
   let _, r = Runner.execute ~prog:racy_prog ~backend:(`Par 1) racy_ast in
   Alcotest.(check bool) "runs" true (r.Exec.totals.Exec.flops > 0.0)
 
-(* --- arena pool (satellite: typed errors, peak gauge, idempotence) ------- *)
+(* --- arena pool: peak gauge, idempotence, occupancy cap ------------------ *)
 
 let arena_base () =
   let m = Runner.prepare ~param_env:Runner.no_params racy_prog in
   Memory.declare_local m "l_buf";
   m
 
-let test_arena_capacity_typed_error () =
-  let pool = Arena.create_pool ~capacity_words:64 ~base:(arena_base ()) () in
-  (match Arena.acquire pool ~words:65 with
-   | Error (Arena.Capacity_exceeded { requested_words; capacity_words }) ->
-     Alcotest.(check int) "requested" 65 requested_words;
-     Alcotest.(check int) "capacity" 64 capacity_words
-   | Error e -> Alcotest.failf "wrong error: %s" (Arena.error_message e)
-   | Ok _ -> Alcotest.fail "over-capacity acquire succeeded");
-  (* a fitting request still works after the refusal *)
-  match Arena.acquire pool ~words:64 with
-  | Ok a -> Arena.release a
-  | Error e -> Alcotest.failf "fitting acquire failed: %s" (Arena.error_message e)
-
 let test_arena_release_idempotent_and_peak () =
-  let pool = Arena.create_pool ~capacity_words:100 ~base:(arena_base ()) () in
-  let a = Result.get_ok (Arena.acquire pool ~words:40) in
-  let b = Result.get_ok (Arena.acquire pool ~words:40) in
+  let pool = Arena.create_pool ~base:(arena_base ()) () in
+  let a = Arena.acquire pool ~words:40 in
+  let b = Arena.acquire pool ~words:40 in
   Alcotest.(check int) "two in use" 2 (Arena.in_use pool);
   Memory.write_local (Arena.memory a) "l_buf" [| 0 |] 1.0;
   Memory.write_local (Arena.memory a) "l_buf" [| 1 |] 2.0;
@@ -194,7 +179,7 @@ let test_arena_release_idempotent_and_peak () =
     [ ("l_buf", 2) ]
     (Arena.peak_occupancy pool);
   (* recycled views come back with empty locals *)
-  let c = Result.get_ok (Arena.acquire pool ~words:10) in
+  let c = Arena.acquire pool ~words:10 in
   Alcotest.(check int) "recycled view is clean" 0
     (Memory.local_words (Arena.memory c));
   Arena.release c
@@ -202,7 +187,7 @@ let test_arena_release_idempotent_and_peak () =
 let test_arena_blocks_then_proceeds () =
   (* max_arenas 1: the second acquire must wait for the release *)
   let pool = Arena.create_pool ~max_arenas:1 ~base:(arena_base ()) () in
-  let a = Result.get_ok (Arena.acquire pool ~words:1) in
+  let a = Arena.acquire pool ~words:1 in
   Alcotest.(check (option bool)) "try_acquire refuses while full" None
     (Option.map (fun _ -> true) (Arena.try_acquire pool ~words:1));
   Arena.release a;
@@ -210,7 +195,7 @@ let test_arena_blocks_then_proceeds () =
   | Some b -> Arena.release b
   | None -> Alcotest.fail "pool still full after release"
 
-(* --- arena failure paths (satellite: transactional acquisition) ---------- *)
+(* --- arena failure path ------------------------------------------------- *)
 
 exception Fork_failed
 
@@ -235,60 +220,13 @@ let test_arena_fork_failure_hammer () =
      | _ -> Alcotest.fail "try_acquire swallowed the fork failure"
      | exception Fork_failed -> ());
     should_fail := false;
-    match Arena.acquire pool ~words:1 with
-    | Ok a -> held := a :: !held
-    | Error e -> Alcotest.failf "retry failed: %s" (Arena.error_message e)
+    held := Arena.acquire pool ~words:1 :: !held
   done;
   Alcotest.(check int) "every retry granted" 20 (Arena.in_use pool);
   Alcotest.(check int) "peak counts only successes" 20
     (Arena.peak_in_use pool);
   List.iter Arena.release !held;
   Alcotest.(check int) "drained" 0 (Arena.in_use pool)
-
-let test_arena_acquire_all_transactional () =
-  let pool =
-    Arena.create_pool ~capacity_words:100 ~max_arenas:4 ~base:(arena_base ())
-      ()
-  in
-  (match Arena.acquire_all pool ~words:[ 30; 30; 30 ] with
-   | Ok arenas ->
-     Alcotest.(check int) "batch granted atomically" 3 (Arena.in_use pool);
-     List.iter Arena.release arenas
-   | Error e -> Alcotest.failf "batch refused: %s" (Arena.error_message e));
-  Alcotest.(check int) "batch drained" 0 (Arena.in_use pool);
-  (match Arena.acquire_all pool ~words:[ 60; 60 ] with
-   | Error (Arena.Capacity_exceeded { requested_words; capacity_words }) ->
-     Alcotest.(check int) "total requested" 120 requested_words;
-     Alcotest.(check int) "capacity" 100 capacity_words
-   | Error e -> Alcotest.failf "wrong error: %s" (Arena.error_message e)
-   | Ok _ -> Alcotest.fail "over-capacity batch granted");
-  match Arena.acquire_all pool ~words:[ 1; 1; 1; 1; 1 ] with
-  | Error (Arena.Too_many_arenas { requested; max_arenas }) ->
-    Alcotest.(check int) "requested arenas" 5 requested;
-    Alcotest.(check int) "arena cap" 4 max_arenas
-  | Error e -> Alcotest.failf "wrong error: %s" (Arena.error_message e)
-  | Ok _ -> Alcotest.fail "batch wider than the arena cap granted"
-
-(* a fork failure mid-batch must roll the already-granted arenas back:
-   no slab leak, no peak_in_use skew, and the pool keeps working *)
-let test_arena_acquire_all_rollback () =
-  let calls = ref 0 in
-  let fork m =
-    incr calls;
-    if !calls = 3 then raise Fork_failed else Memory.fork_view m
-  in
-  let pool = Arena.create_pool ~fork ~base:(arena_base ()) () in
-  (match Arena.acquire_all pool ~words:[ 10; 10; 10 ] with
-   | _ -> Alcotest.fail "acquire_all swallowed the fork failure"
-   | exception Fork_failed -> ());
-  Alcotest.(check int) "no slab leak" 0 (Arena.in_use pool);
-  Alcotest.(check int) "no peak skew" 0 (Arena.peak_in_use pool);
-  match Arena.acquire_all pool ~words:[ 10; 10 ] with
-  | Ok arenas ->
-    Alcotest.(check int) "rolled-back views recycle" 2 (List.length arenas);
-    List.iter Arena.release arenas
-  | Error e ->
-    Alcotest.failf "batch after rollback failed: %s" (Arena.error_message e)
 
 (* --- inter-tile reuse (tentpole): chained residency ----------------------- *)
 
@@ -324,6 +262,59 @@ let test_inter_tile_matches_seq_and_moves_less () =
     (r_delta.Exec.totals.Exec.g_ld < r_full.Exec.totals.Exec.g_ld);
   Alcotest.(check (float 0.0)) "stores unchanged"
     r_full.Exec.totals.Exec.g_st r_delta.Exec.totals.Exec.g_st
+
+(* --- the one schedule ------------------------------------------------------ *)
+
+module Ev = Emsc_obs.Events
+module Rr = Emsc_obs.Runtime_report
+
+(* (launch, block) -> worker track of every Block event of the last
+   recorded run, sorted *)
+let recorded_blocks () =
+  List.concat_map
+    (fun (tr : Ev.track) ->
+      List.filter_map
+        (fun (e : Ev.event) ->
+          match e.Ev.data with
+          | Ev.Block { launch; block; _ } ->
+            Some ((launch, block), tr.Ev.t_name)
+          | _ -> None)
+        tr.Ev.events)
+    (Ev.drain ())
+  |> List.sort compare
+
+(* run under events at [jobs], check arrays and totals against [seq],
+   and check that each block of each launch left exactly one Block
+   event, on worker [worker_of block] *)
+let check_schedule ~jobs ~grid ~worker_of c seq =
+  let (_, r as par), _ =
+    Runner.with_runtime_report (fun () -> simulate_par ~jobs c)
+  in
+  check_same c.Pipeline.prog seq par;
+  Alcotest.(check (list (float 0.0))) "stated grid" [ float_of_int grid ]
+    (grids r);
+  let expected =
+    List.init grid (fun b ->
+      ((0, b), Printf.sprintf "worker%d" (worker_of b)))
+  in
+  Alcotest.(check (list (pair (pair int int) string)))
+    "one Block event per (launch, block), on its worker" expected
+    (recorded_blocks ())
+
+(* matmul n=32 has one launch of 4 blocks, not a multiple of 3: with
+   single-block chains, block i runs on worker (i mod 3) *)
+let test_static_schedule_places_blocks () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  check_schedule ~jobs:3 ~grid:4 ~worker_of:(fun b -> b mod 3) c
+    (simulate_seq c)
+
+(* conv2d n=32 with 8x8 blocks: one launch of 4 x 4 blocks; each run of
+   4 consecutive blocks along the inner origin is one residency chain,
+   so block b belongs to chain b / 4 and runs on worker (b / 4) mod 3 *)
+let test_chain_schedule_places_blocks () =
+  let c = compiled (conv2d_block_job ~inter_tile_reuse:true ()) in
+  check_schedule ~jobs:3 ~grid:16 ~worker_of:(fun b -> b / 4 mod 3) c
+    (simulate_seq c)
 
 (* --- pipeline splitter --------------------------------------------------- *)
 
@@ -387,9 +378,6 @@ let test_double_buffer_capacity_regression () =
     (List.length (capacity_violations ~double_buffer:true))
 
 (* --- runtime events integration ------------------------------------------ *)
-
-module Ev = Emsc_obs.Events
-module Rr = Emsc_obs.Runtime_report
 
 (* instrumentation must be observationally free: an events-on pipelined
    run stays bit-identical to sequential, and the report it yields is
@@ -456,7 +444,7 @@ let () =
         [ Alcotest.test_case "matmul" `Quick test_par_matches_seq_matmul;
           Alcotest.test_case "me" `Quick test_par_matches_seq_me;
           Alcotest.test_case "policies+double-buffer" `Quick
-            test_policies_and_double_buffer_match;
+            test_static_with_and_without_double_buffer;
           Alcotest.test_case "totals invariant in -j" `Quick
             test_totals_invariant_in_jobs;
           Alcotest.test_case "stencil multi-launch" `Quick
@@ -467,21 +455,20 @@ let () =
           Alcotest.test_case "tracker off by default" `Quick
             test_tracker_off_by_default ] );
       ( "arena",
-        [ Alcotest.test_case "typed capacity error" `Quick
-            test_arena_capacity_typed_error;
-          Alcotest.test_case "idempotent release + peaks" `Quick
+        [ Alcotest.test_case "idempotent release + peaks" `Quick
             test_arena_release_idempotent_and_peak;
           Alcotest.test_case "occupancy cap" `Quick
             test_arena_blocks_then_proceeds;
           Alcotest.test_case "fork-failure hammer" `Quick
-            test_arena_fork_failure_hammer;
-          Alcotest.test_case "acquire_all transactional" `Quick
-            test_arena_acquire_all_transactional;
-          Alcotest.test_case "acquire_all rollback" `Quick
-            test_arena_acquire_all_rollback ] );
+            test_arena_fork_failure_hammer ] );
       ( "inter-tile-reuse",
         [ Alcotest.test_case "bit-identical + strictly fewer loads" `Quick
             test_inter_tile_matches_seq_and_moves_less ] );
+      ( "schedule",
+        [ Alcotest.test_case "block i on worker i mod 3" `Quick
+            test_static_schedule_places_blocks;
+          Alcotest.test_case "chain c on worker c mod 3" `Quick
+            test_chain_schedule_places_blocks ] );
       ( "pipeline",
         [ Alcotest.test_case "splits canonical body" `Quick
             test_pipeline_phases_split;
