@@ -61,18 +61,21 @@ let with_trace trace f =
         if not prof_was_on then Prof.disable ())
       f
 
-(* an output file that cannot be written is a user error, reported in
-   one line with exit status 1 *)
+(* an output file (or stdout) that cannot be written is a user error,
+   reported in one line with exit status 1 *)
 let write_or_die path write =
   try write ()
   with Sys_error msg ->
     Printf.eprintf "emsc: cannot write %s: %s\n" path msg;
+    (* when stdout is what failed, the flush in [exit] would raise
+       again; flush it now ignoring errors and close it *)
+    close_out_noerr stdout;
     exit 1
 
 let emit_json out j =
   let s = Json.to_string ~pretty:true j in
   match out with
-  | None -> print_string s; print_newline ()
+  | None -> write_or_die "stdout" (fun () -> print_string s; print_newline ())
   | Some path -> write_or_die path (fun () -> Io.write_file path (s ^ "\n"))
 
 let file_arg =
@@ -306,7 +309,8 @@ let analyze_cmd =
               [ ( "compile_profile",
                   Prof.json ~wall_ms:compile_wall_ms prof ) ]
             | None -> []))
-    else begin
+    else
+      write_or_die "stdout" @@ fun () ->
       Format.printf "%a@." Plan.pp plan;
       List.iter (fun (b : Plan.buffered) ->
         let buf = b.Plan.buffer in
@@ -320,9 +324,8 @@ let analyze_cmd =
           b.Plan.move_out)
         plan.Plan.buffered;
       if Emsc_driver.Cache.enabled cache then
-        Printf.printf "\n// pass cache: %d hit(s), %d miss(es)\n"
+        Printf.printf "\n// pass cache: %d hit(s), %d miss(es)\n%!"
           c.Pipeline.cache_hits c.Pipeline.cache_misses
-    end
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Data-management plan for a program block")
     Term.(const run $ file_arg $ machine_arg $ arch_arg $ merge_arg

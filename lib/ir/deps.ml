@@ -115,12 +115,19 @@ let analyze ?context p =
         d
       in
       let dep_poly = Poly.add_ineq !cur strict in
+      (* the rational witness settles most levels: none means empty,
+         an integral one means non-empty; only a fractional witness
+         needs branch-and-bound *)
       let nonempty =
-        if Poly.is_empty dep_poly then false
+        if Poly.is_trivially_empty dep_poly then false
         else
-          match Emsc_pip.Ilp.is_int_empty dep_poly with
-          | empty -> not empty
-          | exception Emsc_pip.Ilp.Gave_up -> true
+          match Poly.sample_rational dep_poly with
+          | None -> false
+          | Some q when Array.for_all Q.is_integer q -> true
+          | Some _ -> (
+            match Emsc_pip.Ilp.is_int_empty dep_poly with
+            | empty -> not empty
+            | exception Emsc_pip.Ilp.Gave_up -> true)
       in
       Emsc_obs.Prof.add "deps.levels_tested" 1.0;
       if nonempty then begin

@@ -1,63 +1,112 @@
 open Emsc_arith
+open Emsc_linalg
 
 type result =
   | Exact of Zint.t
   | More_than of Zint.t
   | Unbounded
 
-exception Hit_limit of Zint.t
+exception Hit_limit
 exception Is_unbounded
+exception Int_empty
 
-(* Pick the dimension with the smallest integer extent to branch on;
-   raises Is_unbounded if some dimension is unbounded. *)
-let narrowest_dim p =
+(* Bound rows of [x_j] at level [j]: [(a, e)] with [e] over
+   [x_0 .. x_j] plus constant and its [x_j] entry zero (see
+   {!Poly.dim_bound_pairs}). *)
+type level = {
+  lowers : (Zint.t * Vec.t) array;
+  uppers : (Zint.t * Vec.t) array;
+}
+
+(* Fourier–Motzkin levels, innermost dimension first: level [j] bounds
+   [x_j] on the projection onto [x_0 .. x_j].  Projections are not
+   redundancy-reduced; the walk only evaluates the rows, so extra rows
+   cost arithmetic, not LPs.  Raises [Is_unbounded] at a level with no
+   lower or no upper row and [Int_empty] when integer tightening
+   collapses a projection to the empty constraint. *)
+let levels p =
   let n = Poly.dim p in
-  let best = ref (-1) in
-  let best_width = ref Zint.zero in
-  for i = 0 to n - 1 do
-    match Poly.var_bounds_int p i with
-    | Some lo, Some hi ->
-      let w = Zint.sub hi lo in
-      if !best < 0 || Zint.compare w !best_width < 0 then begin
-        best := i;
-        best_width := w
-      end
-    | _ -> raise Is_unbounded
+  let lv = Array.make n { lowers = [||]; uppers = [||] } in
+  let cur = ref p in
+  for j = n - 1 downto 0 do
+    if Poly.is_trivially_empty !cur then raise Int_empty;
+    let lowers, uppers = Poly.dim_bound_pairs !cur j in
+    if lowers = [] || uppers = [] then raise Is_unbounded;
+    lv.(j) <- { lowers = Array.of_list lowers; uppers = Array.of_list uppers };
+    if j > 0 then cur := Poly.eliminate_dim !cur j
   done;
-  !best
+  lv
+
+(* Some dimension of the (rationally non-empty) polyhedron is
+   unbounded.  Only asked when tightening hid the bound rows. *)
+let rationally_unbounded p =
+  List.exists (fun i ->
+    match Poly.var_bounds p i with
+    | Some _, Some _ -> false
+    | _ -> true)
+    (List.init (Poly.dim p) Fun.id)
 
 let count_poly ?limit p =
   let limit_z = Option.map Zint.of_int limit in
-  let over n =
-    match limit_z with
-    | Some l when Zint.compare n l > 0 -> true
-    | Some _ | None -> false
-  in
   let total = ref Zint.zero in
-  let rec go p =
-    if Poly.is_empty p then ()
-    else if Poly.dim p = 0 then begin
-      total := Zint.add !total Zint.one;
-      if over !total then raise (Hit_limit !total)
-    end
-    else begin
-      let j = narrowest_dim p in
-      match Poly.var_bounds_int p j with
-      | Some lo, Some hi ->
+  let add k =
+    total := Zint.add !total k;
+    match limit_z with
+    | Some l when Zint.compare !total l > 0 -> raise Hit_limit
+    | Some _ | None -> ()
+  in
+  let walk lv =
+    let n = Array.length lv in
+    let x = Array.make n Zint.zero in
+    (* value of [e] at the prefix [x_0 .. x_{j-1}] *)
+    let eval j (e : Vec.t) =
+      let acc = ref e.(j + 1) in
+      for i = 0 to j - 1 do
+        if not (Zint.is_zero e.(i)) then
+          acc := Zint.add !acc (Zint.mul e.(i) x.(i))
+      done;
+      !acc
+    in
+    let extreme pick bound rows =
+      let m = ref (bound rows.(0)) in
+      for k = 1 to Array.length rows - 1 do
+        m := pick !m (bound rows.(k))
+      done;
+      !m
+    in
+    let rec go j =
+      let { lowers; uppers } = lv.(j) in
+      let lo =
+        extreme Zint.max
+          (fun (a, e) -> Zint.cdiv (Zint.neg (eval j e)) a)
+          lowers
+      in
+      let hi = extreme Zint.min (fun (a, e) -> Zint.fdiv (eval j e) a) uppers in
+      if j = n - 1 then begin
+        if Zint.compare lo hi <= 0 then add (Zint.add (Zint.sub hi lo) Zint.one)
+      end
+      else begin
         let v = ref lo in
         while Zint.compare !v hi <= 0 do
-          go (Poly.fix_dim p j !v);
+          x.(j) <- !v;
+          go (j + 1);
           v := Zint.add !v Zint.one
         done
-      | _ -> raise Is_unbounded
-    end
+      end
+    in
+    if n = 0 then add Zint.one else go 0
   in
-  try
-    go p;
-    Exact !total
-  with
-  | Hit_limit n -> More_than n
-  | Is_unbounded -> Unbounded
+  if Poly.is_empty p then Exact Zint.zero
+  else
+    match levels p with
+    | lv -> (
+      match walk lv with
+      | () -> Exact !total
+      | exception Hit_limit ->
+        More_than (Zint.add (Option.get limit_z) Zint.one))
+    | exception Is_unbounded -> Unbounded
+    | exception Int_empty ->
+      if rationally_unbounded p then Unbounded else Exact Zint.zero
 
 let count_uset ?limit u =
   let disjoint = Uset.make_disjoint u in
@@ -71,21 +120,6 @@ let count_uset ?limit u =
     end
   in
   sum Zint.zero (Uset.pieces disjoint)
-
-let box_volume p =
-  if Poly.is_empty p then None
-  else begin
-    let n = Poly.dim p in
-    let rec go acc i =
-      if i >= n then Some acc
-      else
-        match Poly.var_bounds_int p i with
-        | Some lo, Some hi ->
-          go (Zint.mul acc (Zint.add (Zint.sub hi lo) Zint.one)) (i + 1)
-        | _ -> None
-    in
-    go Zint.one 0
-  end
 
 let box_volume_uset u =
   match Uset.bounding_box u with

@@ -2,9 +2,13 @@
 
     Used for the constant-reuse test of Algorithm 1 (overlap volume
     versus total volume, threshold δ) and for data-movement volume
-    estimates.  The counter scans dimension by dimension, always
-    branching on the currently narrowest variable; a [limit] caps the
-    work for callers that only need "more than N or not". *)
+    estimates.  The counter projects the polyhedron once by
+    Fourier–Motzkin elimination, then walks the integer values of
+    [x_0 .. x_{n-2}] between the projected bounds and adds the integer
+    extent of the innermost variable at each prefix: one LP (the
+    rational emptiness test) per polyhedron, not one per point.  A
+    [limit] caps the work for callers that only need "more than N or
+    not". *)
 
 open Emsc_arith
 
@@ -14,13 +18,13 @@ type result =
   | Unbounded
 
 val count_poly : ?limit:int -> Poly.t -> result
+(** [Unbounded] when the polyhedron is rationally non-empty and
+    unbounded in some dimension, even if it has no integer point;
+    [More_than (limit + 1)] when the count exceeds [limit]. *)
+
 val count_uset : ?limit:int -> Uset.t -> result
 (** The union is made disjoint first, so overlaps are not
     double-counted. *)
-
-val box_volume : Poly.t -> Zint.t option
-(** Product of per-dimension integer extents: an upper bound on the
-    number of integer points; [None] when unbounded or empty. *)
 
 val box_volume_uset : Uset.t -> Zint.t option
 (** Extent product of the union's bounding box. *)

@@ -10,53 +10,50 @@ let dep_obj (d : Deps.t) (h : Vec.t) np =
   Array.iteri (fun i c -> obj.(ds + i) <- c) h;
   obj
 
-let dep_component_bounds p (d : Deps.t) h =
-  let np = Prog.nparams p in
-  let obj = dep_obj d h np in
-  let lo =
-    match Ilp.minimize d.Deps.poly obj with
-    | Ilp.Opt (v, _) -> Some v
-    | Ilp.Unbounded -> None
-    | Ilp.Empty -> Some Zint.zero
-    | exception Ilp.Gave_up -> None
-  in
-  let hi =
-    match Ilp.maximize d.Deps.poly obj with
-    | Ilp.Opt (v, _) -> Some v
-    | Ilp.Unbounded -> None
-    | Ilp.Empty -> Some Zint.zero
-    | exception Ilp.Gave_up -> None
-  in
-  (lo, hi)
-
-let is_legal p deps h =
-  List.for_all (fun d ->
-    match fst (dep_component_bounds p d h) with
-    | Some v -> not (Zint.is_negative v)
-    | None -> false)
-    deps
-
-let is_parallel p deps h =
-  is_legal p deps h
-  && List.for_all (fun d ->
-       match snd (dep_component_bounds p d h) with
-       | Some v -> Zint.is_zero v || Zint.is_negative v
-       | None -> false)
-       deps
+(* Integer min or max of [h.target - h.source] over the dependence
+   polyhedron; [None] when unbounded on that side or the search gave
+   up, zero when the polyhedron has no integer point. *)
+let dep_component solve p (d : Deps.t) h =
+  match solve d.Deps.poly (dep_obj d h (Prog.nparams p)) with
+  | Ilp.Opt (v, _) -> Some v
+  | Ilp.Unbounded -> None
+  | Ilp.Empty -> Some Zint.zero
+  | exception Ilp.Gave_up -> None
 
 type band = {
   hyperplanes : Vec.t list;
   parallel : bool list;
 }
 
-(* communication volume proxy: sum over deps of the (capped) maximal
-   forward component along h *)
-let comm_cost p deps h =
-  List.fold_left (fun acc d ->
-    match snd (dep_component_bounds p d h) with
-    | Some v -> acc + min 100 (max 0 (Zint.to_int_exn (Zint.min v (Zint.of_int 100))))
-    | None -> acc + 100)
-    0 deps
+(* A legal hyperplane gives every dependence a non-negative minimal
+   component, so only the minima are solved, stopping at the first
+   dependence that fails.  The maxima are solved once per dependence
+   and only for legal hyperplanes: [h] is communication-free when every
+   maximum is at most zero, and its communication volume proxy is the
+   sum of the (capped) maxima. *)
+let classify p deps h =
+  let legal d =
+    match dep_component Ilp.minimize p d h with
+    | Some v -> not (Zint.is_negative v)
+    | None -> false
+  in
+  if not (List.for_all legal deps) then None
+  else begin
+    let maxima = List.map (fun d -> dep_component Ilp.maximize p d h) deps in
+    let parallel =
+      List.for_all (function
+        | Some v -> not (Zint.is_positive v)
+        | None -> false)
+        maxima
+    in
+    let cost =
+      List.fold_left (fun acc -> function
+        | Some v -> acc + max 0 (Zint.to_int_exn (Zint.min v (Zint.of_int 100)))
+        | None -> acc + 100)
+        0 maxima
+    in
+    Some (h, parallel, cost)
+  end
 
 let candidates ~max_coeff depth =
   let rec build dims =
@@ -103,13 +100,7 @@ let find_band ?(max_coeff = 1) p deps =
   in
   let cands = candidates ~max_coeff depth in
   Emsc_obs.Prof.add "hyperplanes.candidates" (float_of_int (List.length cands));
-  let legal_cands =
-    List.filter_map (fun h ->
-      if is_legal p deps h then
-        Some (h, is_parallel p deps h, comm_cost p deps h)
-      else None)
-      cands
-  in
+  let legal_cands = List.filter_map (classify p deps) cands in
   Emsc_obs.Prof.add "hyperplanes.legal"
     (float_of_int (List.length legal_cands));
   let chosen = ref [] in

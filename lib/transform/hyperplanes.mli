@@ -20,20 +20,14 @@ type band = {
       (** per hyperplane: communication-free? *)
 }
 
-val dep_component_bounds :
-  Prog.t -> Deps.t -> Vec.t -> Emsc_arith.Zint.t option * Emsc_arith.Zint.t option
-(** (min, max) of [h.target - h.source] over the dependence polyhedron;
-    [None] = unbounded on that side. *)
-
-val is_legal : Prog.t -> Deps.t list -> Vec.t -> bool
-val is_parallel : Prog.t -> Deps.t list -> Vec.t -> bool
-
 val find_band : ?max_coeff:int -> Prog.t -> Deps.t list -> band
 (** Greedy search over coefficient vectors with entries in
     [-max_coeff, max_coeff] (default 1), preferring parallel
     hyperplanes, then low communication; stops when [depth]
     linearly-independent hyperplanes are found or none is legal.
-    Requires all statements to share one depth.
+    Requires all statements to share one depth.  Each candidate costs
+    one minimum ILP per dependence up to the first that fails, plus one
+    maximum ILP per dependence when it is legal.
     The resulting matrix is completed to full rank; rows are returned
     space-first. *)
 

@@ -290,6 +290,142 @@ let test_count_unbounded () =
   let p = Poly.of_ineqs ~dim:1 [ [ 1; 0 ] ] in
   Alcotest.(check bool) "unbounded" true (Count.count_poly p = Count.Unbounded)
 
+(* --- projection counter against the per-point counter --------------------- *)
+
+(* The per-point counter [Count.count_poly] replaced, kept here as the
+   differential reference: one emptiness LP per integer point, always
+   branching on the narrowest dimension, and [Unbounded] as soon as a
+   non-empty slice has an unbounded dimension. *)
+let per_point_count ?limit p =
+  let exception Hit_limit of Zint.t in
+  let exception Is_unbounded in
+  let narrowest_dim p =
+    let best = ref (-1) and best_width = ref Zint.zero in
+    for i = 0 to Poly.dim p - 1 do
+      match Poly.var_bounds_int p i with
+      | Some lo, Some hi ->
+        let w = Zint.sub hi lo in
+        if !best < 0 || Zint.compare w !best_width < 0 then begin
+          best := i;
+          best_width := w
+        end
+      | _ -> raise Is_unbounded
+    done;
+    !best
+  in
+  let total = ref Zint.zero in
+  let rec go p =
+    if Poly.is_empty p then ()
+    else if Poly.dim p = 0 then begin
+      total := Zint.add !total Zint.one;
+      match limit with
+      | Some l when Zint.compare !total (z l) > 0 -> raise (Hit_limit !total)
+      | Some _ | None -> ()
+    end
+    else begin
+      let j = narrowest_dim p in
+      match Poly.var_bounds_int p j with
+      | Some lo, Some hi ->
+        let v = ref lo in
+        while Zint.compare !v hi <= 0 do
+          go (Poly.fix_dim p j !v);
+          v := Zint.add !v Zint.one
+        done
+      | _ -> raise Is_unbounded
+    end
+  in
+  match go p with
+  | () -> Count.Exact !total
+  | exception Hit_limit n -> Count.More_than n
+  | exception Is_unbounded -> Count.Unbounded
+
+let count_result =
+  Alcotest.testable
+    (fun fmt -> function
+      | Count.Exact n -> Format.fprintf fmt "Exact %s" (Zint.to_string n)
+      | Count.More_than n -> Format.fprintf fmt "More_than %s" (Zint.to_string n)
+      | Count.Unbounded -> Format.fprintf fmt "Unbounded")
+    ( = )
+
+let check_same ?limit name p =
+  Alcotest.check count_result name (per_point_count ?limit p)
+    (Count.count_poly ?limit p)
+
+(* Random polyhedra of dimension 1..3: each variable gets a lower and
+   an upper bound in [-4, 4] with probability [keep] each, plus up to
+   three random cuts and, half the time, a random equality. *)
+let random_poly st ~keep =
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let n = int 1 3 in
+  let row coeffs c = Vec.of_ints (coeffs @ [ c ]) in
+  let axis i sign c = row (List.init n (fun k -> if k = i then sign else 0)) c in
+  let bounds =
+    List.concat
+      (List.init n (fun i ->
+         (if Random.State.float st 1.0 < keep then [ axis i 1 (int 0 4) ] else [])
+         @ if Random.State.float st 1.0 < keep then [ axis i (-1) (int 0 4) ]
+           else []))
+  in
+  let random_row () = row (List.init n (fun _ -> int (-3) 3)) (int (-6) 6) in
+  let cuts = List.init (int 0 3) (fun _ -> random_row ()) in
+  let eqs = if Random.State.bool st then [ random_row () ] else [] in
+  Poly.make ~dim:n ~eqs ~ineqs:(bounds @ cuts)
+
+let test_count_differential_bounded () =
+  let st = Random.State.make [| 7 |] in
+  for i = 1 to 300 do
+    check_same (Printf.sprintf "bounded #%d" i) (random_poly st ~keep:1.0)
+  done
+
+let test_count_differential_unbounded () =
+  let st = Random.State.make [| 11 |] in
+  for i = 1 to 300 do
+    check_same (Printf.sprintf "partly bounded #%d" i) (random_poly st ~keep:0.8)
+  done;
+  check_same "half-line" (Poly.of_ineqs ~dim:1 [ [ 1; 0 ] ]);
+  check_same "strip" (Poly.of_ineqs ~dim:2 [ [ 1; 0; 0 ]; [ -1; 0; 3 ] ])
+
+(* Rationally non-empty, no integer point: the equality's coefficient
+   does not divide the slice, or two equalities meet at a half-integer
+   point.  The last two also have an unbounded dimension, where the
+   projection collapses before the unbounded level is reached. *)
+let test_count_differential_lattice_holes () =
+  let mk ~dim ~eqs ~ineqs =
+    Poly.make ~dim ~eqs:(List.map vi eqs) ~ineqs:(List.map vi ineqs)
+  in
+  let cases =
+    [ ("3y = x, 1 <= x <= 2", mk ~dim:2 ~eqs:[ [ -1; 3; 0 ] ]
+         ~ineqs:[ [ 1; 0; -1 ]; [ -1; 0; 2 ] ]);
+      ("3y = x, 0 <= x <= 9", mk ~dim:2 ~eqs:[ [ -1; 3; 0 ] ]
+         ~ineqs:[ [ 1; 0; 0 ]; [ -1; 0; 9 ] ]);
+      ("2z = x + y + 1 on a box", mk ~dim:3 ~eqs:[ [ 1; 1; -2; 1 ] ]
+         ~ineqs:[ [ 1; 0; 0; 0 ]; [ -1; 0; 0; 0 ]; [ 0; 1; 0; 0 ];
+                  [ 0; -1; 0; 0 ]; [ 0; 0; 1; 3 ]; [ 0; 0; -1; 3 ] ]);
+      ("y + z = 0, y - z = 1, 0 <= x <= 3",
+       mk ~dim:3 ~eqs:[ [ 0; 1; 1; 0 ]; [ 0; 1; -1; -1 ] ]
+         ~ineqs:[ [ 1; 0; 0; 0 ]; [ -1; 0; 0; 3 ] ]);
+      ("y + z = 0, y - z = 1, x free",
+       mk ~dim:3 ~eqs:[ [ 0; 1; 1; 0 ]; [ 0; 1; -1; -1 ] ] ~ineqs:[]);
+      ("x + y = 0, x - y = 1, z >= 0",
+       mk ~dim:3 ~eqs:[ [ 1; 1; 0; 0 ]; [ 1; -1; 0; -1 ] ]
+         ~ineqs:[ [ 0; 0; 1; 0 ] ]) ]
+  in
+  List.iter (fun (name, p) -> check_same name p) cases;
+  Alcotest.check count_result "no integer point" (Count.Exact Zint.zero)
+    (Count.count_poly (snd (List.hd cases)))
+
+let test_count_differential_limit () =
+  let st = Random.State.make [| 13 |] in
+  for i = 1 to 200 do
+    let p = random_poly st ~keep:0.9 in
+    let limit = List.nth [ 0; 1; 3; 10; 40 ] (i mod 5) in
+    check_same ~limit (Printf.sprintf "limit %d #%d" limit i) p
+  done;
+  Alcotest.check count_result "box past the limit" (Count.More_than (z 11))
+    (Count.count_poly ~limit:10 (box2 (0, 99) (0, 99)));
+  check_same ~limit:10 "box past the limit" (box2 (0, 99) (0, 99));
+  check_same ~limit:0 "a point at limit 0" (interval 4 4)
+
 (* --- properties ----------------------------------------------------------- *)
 
 let small_box_gen =
@@ -407,6 +543,14 @@ let () =
           Alcotest.test_case "triangle" `Quick test_count_triangle;
           Alcotest.test_case "limit" `Quick test_count_limit;
           Alcotest.test_case "unbounded" `Quick test_count_unbounded;
+          Alcotest.test_case "per-point: bounded" `Quick
+            test_count_differential_bounded;
+          Alcotest.test_case "per-point: unbounded" `Quick
+            test_count_differential_unbounded;
+          Alcotest.test_case "per-point: lattice holes" `Quick
+            test_count_differential_lattice_holes;
+          Alcotest.test_case "per-point: limit" `Quick
+            test_count_differential_limit;
         ] );
       ("properties", props);
     ]

@@ -253,9 +253,9 @@ let test_suite_solver_work_pinned () =
                 (Option.value ~default:0.0
                    (List.assoc_opt name f.Prof.f_counters))) 0 prof
     in
-    checki "simplex.minimize calls" 4803 (calls "simplex.minimize");
-    checki "simplex.pivots" 74333 (counter "simplex.pivots");
-    checki "pip.nodes" 1910 (counter "pip.nodes"))
+    checki "simplex.minimize calls" 3532 (calls "simplex.minimize");
+    checki "simplex.pivots" 50157 (counter "simplex.pivots");
+    checki "pip.nodes" 639 (counter "pip.nodes"))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantiles                                                 *)

@@ -73,6 +73,40 @@ let test_jacobi_copyback_band () =
   Alcotest.(check bool) "it is the time axis" true
     (Vec.equal (List.hd band.Hyperplanes.hyperplanes) (vi [ 1; 0 ]))
 
+(* The band and parallel flags chosen for every suite kernel, one line
+   each: "name: h1 flag1; h2 flag2; ..." with P for communication-free
+   and S for sequential.  How legality, parallelism and cost are
+   solved may change; the chosen bands may not. *)
+let expected_suite_bands =
+  [ "fig1: none";
+    "matmul-n32: (0,1,0) P; (1,0,0) P; (0,0,1) S";
+    "me-32x32-ws8-t8.8.8.8: (0,1,0,0) P; (1,0,0,0) P; (0,0,1,0) S";
+    "jacobi1d-n64-s8: (1,0) S; (1,-1) S";
+    "conv2d-n16-k3: (0,1,0,0) P; (1,0,0,0) P; (0,0,1,0) S";
+    "doitgen-8x8x16: (0,0,1,0) P; (0,1,0,0) P; (1,0,0,0) P; (0,0,0,1) S" ]
+
+let test_suite_bands () =
+  let open Emsc_driver in
+  let render (b : Hyperplanes.band) =
+    List.map2 (fun h par ->
+      Printf.sprintf "(%s) %s"
+        (String.concat "," (List.map string_of_int (Vec.to_ints_exn h)))
+        (if par then "P" else "S"))
+      b.Hyperplanes.hyperplanes b.Hyperplanes.parallel
+    |> String.concat "; "
+  in
+  let got =
+    List.map2 (fun name (job : Pipeline.job) ->
+      let options = { job.Pipeline.options with Options.stop = Options.Band } in
+      match Pipeline.compile ~cache:Cache.off { job with Pipeline.options } with
+      | Ok c ->
+        name ^ ": "
+        ^ (match c.Pipeline.band with Some b -> render b | None -> "none")
+      | Error e -> Alcotest.failf "%s: %s" name (Frontend.error_message e))
+      (Suite.names ()) (Suite.jobs ())
+  in
+  Alcotest.(check (list string)) "suite bands" expected_suite_bands got
+
 (* --- unimodular application ----------------------------------------------- *)
 
 let test_apply_unimodular_semantics () =
@@ -478,6 +512,7 @@ let () =
           Alcotest.test_case "matmul band" `Quick test_matmul_band;
           Alcotest.test_case "jacobi skewed band" `Quick test_jacobi_band;
           Alcotest.test_case "me space loops" `Quick test_me_space_loops;
+          Alcotest.test_case "suite bands" `Quick test_suite_bands;
           Alcotest.test_case "jacobi copy-back band" `Quick
             test_jacobi_copyback_band;
         ] );
