@@ -63,19 +63,21 @@ let with_trace trace f =
 
 (* an output file (or stdout) that cannot be written is a user error,
    reported in one line with exit status 1 *)
-let write_or_die path write =
-  try write ()
-  with Sys_error msg ->
-    Printf.eprintf "emsc: cannot write %s: %s\n" path msg;
-    (* when stdout is what failed, the flush in [exit] would raise
-       again; flush it now ignoring errors and close it *)
-    close_out_noerr stdout;
-    exit 1
+let cannot_write path msg =
+  Printf.eprintf "emsc: cannot write %s: %s\n" path msg;
+  (* when stdout is what failed, the flush in [exit] would raise
+     again; flush it now ignoring errors and close it *)
+  close_out_noerr stdout;
+  exit 1
 
+let write_or_die path write =
+  try write () with Sys_error msg -> cannot_write path msg
+
+(* stdout goes through the one handler around command dispatch *)
 let emit_json out j =
   let s = Json.to_string ~pretty:true j in
   match out with
-  | None -> write_or_die "stdout" (fun () -> print_string s; print_newline ())
+  | None -> print_string s; print_newline ()
   | Some path -> write_or_die path (fun () -> Io.write_file path (s ^ "\n"))
 
 let file_arg =
@@ -309,8 +311,7 @@ let analyze_cmd =
               [ ( "compile_profile",
                   Prof.json ~wall_ms:compile_wall_ms prof ) ]
             | None -> []))
-    else
-      write_or_die "stdout" @@ fun () ->
+    else begin
       Format.printf "%a@." Plan.pp plan;
       List.iter (fun (b : Plan.buffered) ->
         let buf = b.Plan.buffer in
@@ -326,6 +327,7 @@ let analyze_cmd =
       if Emsc_driver.Cache.enabled cache then
         Printf.printf "\n// pass cache: %d hit(s), %d miss(es)\n%!"
           c.Pipeline.cache_hits c.Pipeline.cache_misses
+    end
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Data-management plan for a program block")
     Term.(const run $ file_arg $ machine_arg $ arch_arg $ merge_arg
@@ -1199,14 +1201,34 @@ let bench_compare_cmd =
     Term.(const run $ old_arg $ new_arg $ wall_arg $ move_arg $ runtime_arg
           $ json_arg $ out_arg)
 
+(* Every command prints to stdout inside this one handler: a write that
+   fails there (or in the final flush) is [cannot write stdout] with
+   exit status 1.  Any other escaping exception is reported as the
+   internal error it is. *)
 let () =
   let info =
     Cmd.info "emsc"
       ~doc:"Explicitly-managed-scratchpad compiler (PPoPP'08 reproduction)"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ analyze_cmd; compile_cmd; profile_cmd; deps_cmd; band_cmd;
-            run_cmd; check_cmd; audit_cmd; serve_cmd; client_cmd;
-            bench_compare_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ analyze_cmd; compile_cmd; profile_cmd; deps_cmd; band_cmd; run_cmd;
+        check_cmd; audit_cmd; serve_cmd; client_cmd; bench_compare_cmd ]
+  in
+  let stdout_fails () =
+    match Format.print_flush (); flush stdout with
+    | () -> false
+    | exception Sys_error _ -> true
+  in
+  match
+    let status = Cmd.eval ~catch:false cmd in
+    Format.print_flush ();
+    flush stdout;
+    status
+  with
+  | status -> exit status
+  | exception Sys_error msg when stdout_fails () -> cannot_write "stdout" msg
+  | exception e ->
+    Printf.eprintf "emsc: internal error, uncaught exception:\n%s\n"
+      (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

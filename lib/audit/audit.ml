@@ -107,7 +107,7 @@ let instance_count (prog : Prog.t) (s : Prog.stmt) env =
     | Count.More_than _ | Count.Unbounded -> None
   with Failure _ | Not_found -> None
 
-(* the interpreter counts one load per [Eref] *evaluation*, so walk
+(* the executor counts one load per [Eref] *evaluation*, so walk
    the executable body rather than the [reads] list *)
 let rec rhs_accesses = function
   | Prog.Eref a -> [ a ]

@@ -8,7 +8,7 @@
     compiled kernel on the simulated machine in [Full] fidelity,
     snapshots the {!Emsc_obs.Metrics} registry around the run, and
     reports the relative error of every predicted quantity against what
-    the interpreter actually counted.
+    the executor actually counted.
 
     Predictions are upper bounds (box volumes, full-tile occurrence
     counts), so drift is expected to be non-negative and bounded by the

@@ -33,7 +33,7 @@ val prepare :
 (** Memory with globals allocated and populated ([Zeroed] default). *)
 
 type backend = [ `Seq | `Par of int ]
-(** [`Seq] replays on the sequential interpreter; [`Par jobs] executes
+(** [`Seq] runs on the sequential executor; [`Par jobs] executes
     block-parallel on [jobs] domains through {!Emsc_runtime.Runtime}.
     Parallel execution is always [Full] fidelity and produces
     bit-identical arrays, totals and launch grids to [`Seq] in [Full]

@@ -88,20 +88,11 @@ type dma_tally = {
 let fresh_tally () =
   { dma_copies = 0.; dma_in = Hashtbl.create 4; dma_out = Hashtbl.create 4 }
 
-let dma_sorted tbl =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
-  |> List.sort compare
-
 type block_dma = {
   copies : float;
   moved_in : (string * float) list;
   moved_out : (string * float) list;
 }
-
-let block_dma_of_tally d =
-  { copies = d.dma_copies;
-    moved_in = dma_sorted d.dma_in;
-    moved_out = dma_sorted d.dma_out }
 
 let bump_words tbl name words =
   match Hashtbl.find_opt tbl name with
@@ -112,187 +103,6 @@ let tally_add d (b : block_dma) =
   d.dma_copies <- d.dma_copies +. b.copies;
   List.iter (fun (name, words) -> bump_words d.dma_in name words) b.moved_in;
   List.iter (fun (name, words) -> bump_words d.dma_out name words) b.moved_out
-
-type ctx = {
-  prog : Prog.t;
-  stmts : (int, Prog.stmt) Hashtbl.t;
-  flops_of : (int, int) Hashtbl.t;
-  rewrite : Prog.stmt -> Prog.access -> Ast.ref_expr option;
-  param_env : string -> Zint.t;
-  memory : Memory.t;
-  env : (string, Zint.t) Hashtbl.t;
-  c : counters;
-  mode : mode;
-  on_global : (string -> int -> [ `Ld | `St ] -> unit) option;
-  collect_dma : bool;
-  dma : dma_tally;
-  mutable in_launch : bool;
-  mutable launches : launch list;
-}
-
-let lookup ctx n =
-  match Hashtbl.find_opt ctx.env n with
-  | Some v -> v
-  | None -> ctx.param_env n
-
-let eval_aexpr ctx e = Ast.eval (lookup ctx) e
-
-(* integer value of an access-map row under the statement's bindings *)
-let eval_access_row ctx (s : Prog.stmt) (row : Emsc_linalg.Vec.t) iters =
-  let np = Prog.nparams ctx.prog in
-  let depth = s.Prog.depth in
-  let acc = ref row.(depth + np) in
-  for i = 0 to depth - 1 do
-    acc := Zint.add !acc (Zint.mul row.(i) iters.(i))
-  done;
-  for k = 0 to np - 1 do
-    (* tile-origin parameters are bound as loop variables, real program
-       parameters come from the valuation: go through [lookup] *)
-    if not (Zint.is_zero row.(depth + k)) then
-      acc :=
-        Zint.add !acc
-          (Zint.mul row.(depth + k) (lookup ctx ctx.prog.Prog.params.(k)))
-  done;
-  Zint.to_int_exn !acc
-
-let read_ref ctx (r : Ast.ref_expr) =
-  let idx = Array.map (fun e -> Zint.to_int_exn (eval_aexpr ctx e)) r.Ast.indices in
-  if Memory.is_local ctx.memory r.Ast.array then begin
-    ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
-    Memory.read_local ctx.memory r.Ast.array idx
-  end
-  else begin
-    ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f r.Ast.array
-         (Memory.base_address ctx.memory r.Ast.array
-          + Memory.flat_index ctx.memory r.Ast.array idx)
-         `Ld
-     | Some _ | None -> ());
-    Memory.read_global ctx.memory r.Ast.array idx
-  end
-
-let write_ref ctx (r : Ast.ref_expr) v =
-  let idx = Array.map (fun e -> Zint.to_int_exn (eval_aexpr ctx e)) r.Ast.indices in
-  if Memory.is_local ctx.memory r.Ast.array then begin
-    ctx.c.s_st <- ctx.c.s_st +. 1.0;
-    Memory.write_local ctx.memory r.Ast.array idx v
-  end
-  else begin
-    ctx.c.g_st <- ctx.c.g_st +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f r.Ast.array
-         (Memory.base_address ctx.memory r.Ast.array
-          + Memory.flat_index ctx.memory r.Ast.array idx)
-         `St
-     | Some _ | None -> ());
-    Memory.write_global ctx.memory r.Ast.array idx v
-  end
-
-let read_access ctx (s : Prog.stmt) (a : Prog.access) iters =
-  match ctx.rewrite s a with
-  | Some r -> read_ref ctx r
-  | None ->
-    let idx =
-      Array.map (fun row -> eval_access_row ctx s row iters) a.Prog.map
-    in
-    ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f a.Prog.array
-         (Memory.base_address ctx.memory a.Prog.array
-          + Memory.flat_index ctx.memory a.Prog.array idx)
-         `Ld
-     | Some _ | None -> ());
-    Memory.read_global ctx.memory a.Prog.array idx
-
-let write_access ctx (s : Prog.stmt) (a : Prog.access) iters v =
-  match ctx.rewrite s a with
-  | Some r -> write_ref ctx r v
-  | None ->
-    let idx =
-      Array.map (fun row -> eval_access_row ctx s row iters) a.Prog.map
-    in
-    ctx.c.g_st <- ctx.c.g_st +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f a.Prog.array
-         (Memory.base_address ctx.memory a.Prog.array
-          + Memory.flat_index ctx.memory a.Prog.array idx)
-         `St
-     | Some _ | None -> ());
-    Memory.write_global ctx.memory a.Prog.array idx v
-
-let rec eval_expr ctx s iters (e : Prog.expr) =
-  match e with
-  | Prog.Eref a -> read_access ctx s a iters
-  | Prog.Eiter i -> Zint.to_float iters.(i)
-  | Prog.Eparam k -> Zint.to_float (lookup ctx ctx.prog.Prog.params.(k))
-  | Prog.Econst f -> f
-  | Prog.Eneg e -> -.eval_expr ctx s iters e
-  | Prog.Eabs e -> Float.abs (eval_expr ctx s iters e)
-  | Prog.Eadd (a, b) -> eval_expr ctx s iters a +. eval_expr ctx s iters b
-  | Prog.Esub (a, b) -> eval_expr ctx s iters a -. eval_expr ctx s iters b
-  | Prog.Emul (a, b) -> eval_expr ctx s iters a *. eval_expr ctx s iters b
-  | Prog.Ediv (a, b) -> eval_expr ctx s iters a /. eval_expr ctx s iters b
-  | Prog.Emin (a, b) ->
-    Float.min (eval_expr ctx s iters a) (eval_expr ctx s iters b)
-  | Prog.Emax (a, b) ->
-    Float.max (eval_expr ctx s iters a) (eval_expr ctx s iters b)
-
-let exec_body ctx (s : Prog.stmt) iters =
-  (match s.Prog.body with
-   | None -> ()
-   | Some (lhs, rhs) ->
-     let v = eval_expr ctx s iters rhs in
-     write_access ctx s lhs iters v);
-  ctx.c.flops <-
-    ctx.c.flops +. float_of_int (Hashtbl.find ctx.flops_of s.Prog.id)
-
-let exec_stmt_call ctx stmt_id iter_args =
-  let s =
-    match Hashtbl.find_opt ctx.stmts stmt_id with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Exec: unknown statement %d" stmt_id)
-  in
-  let iters = Array.map (eval_aexpr ctx) iter_args in
-  exec_body ctx s iters
-
-(* Count the thread blocks of a launch: product of the trip counts of
-   the outermost chain of Block loops (each evaluated at its outer
-   loop's first iteration). *)
-let rec grid_size ctx (l : Ast.loop) =
-  let lb = eval_aexpr ctx l.Ast.lb and ub = eval_aexpr ctx l.Ast.ub in
-  let trip =
-    let d = Zint.sub ub lb in
-    if Zint.is_negative d then 0.0
-    else Zint.to_float (Zint.add (Zint.fdiv d l.Ast.step) Zint.one)
-  in
-  let inner =
-    match l.Ast.body with
-    | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] ->
-      Hashtbl.replace ctx.env l.Ast.var lb;
-      let g = grid_size ctx l' in
-      Hashtbl.remove ctx.env l.Ast.var;
-      g
-    | _ -> 1.0
-  in
-  trip *. inner
-
-(* per-group movement attribution: a Copy between global memory and a
-   local buffer is one staged word moving in (global -> local) or out
-   (local -> global).  Exact under [Full] mode; [Sampled] runs only
-   record the iterations they actually execute.  Tallied into the
-   context (never straight into Metrics — see [dma_tally]). *)
-let record_copy ctx (dst : Ast.ref_expr) (src : Ast.ref_expr) =
-  ctx.dma.dma_copies <- ctx.dma.dma_copies +. 1.0;
-  let dst_local = Memory.is_local ctx.memory dst.Ast.array in
-  let src_local = Memory.is_local ctx.memory src.Ast.array in
-  if dst_local && not src_local then bump_words ctx.dma.dma_in dst.Ast.array 1.0
-  else if src_local && not dst_local then
-    bump_words ctx.dma.dma_out src.Ast.array 1.0
 
 (* whole-run movement, totals and scratchpad occupancy, recorded once
    per run: O(1) regardless of program size, and one boolean when
@@ -335,107 +145,78 @@ let prof_launch delta =
   Emsc_obs.Prof.add "launch.smem" (total_smem delta);
   Emsc_obs.Prof.add "launch.syncs" delta.syncs
 
-let rec exec_stm ctx (s : Ast.stm) =
-  match s with
-  | Ast.Loop l -> exec_loop ctx l
-  | Ast.Guard (conds, body) ->
-    if
-      List.for_all (fun c -> not (Zint.is_negative (eval_aexpr ctx c))) conds
-    then List.iter (exec_stm ctx) body
-  | Ast.Stmt_call { stmt_id; iter_args } -> exec_stmt_call ctx stmt_id iter_args
-  | Ast.Copy { dst; src } ->
-    let v = read_ref ctx src in
-    write_ref ctx dst v;
-    if ctx.collect_dma then record_copy ctx dst src
-  | Ast.Sync -> ctx.c.syncs <- ctx.c.syncs +. 1.0
-  | Ast.Fence ->
-    ctx.c.syncs <- ctx.c.syncs +. 1.0;
-    ctx.c.fences <- ctx.c.fences +. 1.0
-  | Ast.Comment _ -> ()
+(* ------------------------------------------------------------------ *)
+(* Checked native-int arithmetic: index and bound values never wrap   *)
 
-and exec_loop ctx (l : Ast.loop) =
-  let starts_launch = l.Ast.par = Ast.Block && not ctx.in_launch in
-  if starts_launch then begin
-    let grid = grid_size ctx l in
-    Emsc_obs.Prof.probe "exec.launch"
-      ~args:(fun () -> [ ("grid", Emsc_obs.Json.Float grid) ])
-    @@ fun () ->
-    let before = copy_counters ctx.c in
-    ctx.in_launch <- true;
-    exec_loop_body ctx l;
-    ctx.in_launch <- false;
-    let delta = sub_counters ctx.c before in
-    prof_launch delta;
-    if grid > 0.0 then
-      ctx.launches <-
-        { grid; per_block = scale_counters delta (1.0 /. grid); repeat = 1.0 }
-        :: ctx.launches
-  end
-  else exec_loop_body ctx l
+let overflow () = failwith "Exec: integer overflow in index arithmetic"
 
-and exec_loop_body ctx (l : Ast.loop) =
-  let lb = eval_aexpr ctx l.Ast.lb and ub = eval_aexpr ctx l.Ast.ub in
-  if Zint.compare lb ub <= 0 then begin
-    let trip =
-      Zint.to_int_exn (Zint.add (Zint.fdiv (Zint.sub ub lb) l.Ast.step) Zint.one)
-    in
-    let saved = Hashtbl.find_opt ctx.env l.Ast.var in
-    let run_at v =
-      Hashtbl.replace ctx.env l.Ast.var v;
-      List.iter (exec_stm ctx) l.Ast.body
-    in
-    (match ctx.mode with
-     | Sampled threshold when trip >= threshold && trip > 2 ->
-       (* first + last, trapezoid rule for the middle *)
-       let before = copy_counters ctx.c in
-       let launches_before = List.length ctx.launches in
-       run_at lb;
-       let launches_first =
-         (* launches triggered by the first iteration (freshly
-            prepended) must also be replicated for the middle *)
-         let fresh = List.length ctx.launches - launches_before in
-         List.filteri (fun i _ -> i < fresh) ctx.launches
-       in
-       let last = Zint.add lb (Zint.mul l.Ast.step (Zint.of_int (trip - 1))) in
-       run_at last;
-       let after_last = copy_counters ctx.c in
-       let mid = scale_counters (sub_counters after_last before) 0.5 in
-       add_scaled ctx.c mid (float_of_int (trip - 2));
-       ctx.launches <-
-         List.map
-           (fun ln -> { ln with repeat = ln.repeat *. float_of_int (trip - 2) })
-           launches_first
-         @ ctx.launches
-     | Sampled _ | Full ->
-       let v = ref lb in
-       for _ = 1 to trip do
-         run_at !v;
-         v := Zint.add !v l.Ast.step
-       done);
-    (match saved with
-     | Some v -> Hashtbl.replace ctx.env l.Ast.var v
-     | None -> Hashtbl.remove ctx.env l.Ast.var)
+let add_ck a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then overflow () else s
+
+let sub_ck a b =
+  let d = a - b in
+  if (a lxor b) land (a lxor d) < 0 then overflow () else d
+
+(* [c * x] for a constant [c] known when the code is lowered *)
+let mul_by c =
+  if c = 1 then fun x -> x
+  else if c = 0 then fun _ -> 0
+  else begin
+    let lim = max_int / abs c in
+    fun x -> if x > lim || x < -lim then overflow () else c * x
   end
 
-let prepare_tables prog =
-  let stmts = Hashtbl.create 8 in
-  let flops_of = Hashtbl.create 8 in
-  List.iter (fun (s : Prog.stmt) ->
-    Hashtbl.replace stmts s.Prog.id s;
-    let f =
-      match s.Prog.body with
-      | None -> 0
-      | Some (_, rhs) -> 1 + expr_flops rhs
-    in
-    Hashtbl.replace flops_of s.Prog.id f)
-    prog.Prog.stmts;
-  (stmts, flops_of)
+let fdiv x d =
+  let q = x / d in
+  if x mod d <> 0 && (x < 0) <> (d < 0) then q - 1 else q
+
+let cdiv x d =
+  let q = x / d in
+  if x mod d <> 0 && (x < 0) = (d < 0) then q + 1 else q
+
+let int_of_const z =
+  match Zint.to_int_opt z with Some n -> n | None -> overflow ()
+
+(* ------------------------------------------------------------------ *)
+(* The per-block frame                                                *)
+
+(* A buffer name resolved against one memory view.  Names reached
+   through an [Ast.ref_expr] are local when the view declares them;
+   the accesses a statement keeps in global memory are always global. *)
+type buf =
+  | Local of Memory.local
+  | Global of Memory.global
+  | Missing of string
+
+type ctx = {
+  slots : int array;  (* loop variables, bound names, iteration values *)
+  idx : int array;  (* the indices of the access in flight *)
+  bufs : buf array;
+  c : counters;
+  mode : mode;
+  hook : (string -> int -> [ `Ld | `St ] -> unit) option;  (* Full only *)
+  collect_dma : bool;
+  mutable copies : float;
+  dma_in : float array;  (* words moved in, per buffer *)
+  dma_out : float array;
+  mutable in_launch : bool;
+  mutable launches : launch list;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Sessions and lowering                                              *)
+
+type stmt_info = {
+  stmt : Prog.stmt;
+  flops : float;
+  rewrites : (Prog.access * Ast.ref_expr option) list;
+      (* every access of the body with its local-buffer redirection *)
+}
 
 type session = {
   s_prog : Prog.t;
-  s_stmts : (int, Prog.stmt) Hashtbl.t;
-  s_flops_of : (int, int) Hashtbl.t;
-  s_rewrite : Prog.stmt -> Prog.access -> Ast.ref_expr option;
+  s_stmts : (int, stmt_info) Hashtbl.t;
   s_param_env : string -> Zint.t;
 }
 
@@ -447,79 +228,599 @@ let rec expr_accesses acc = function
   | Prog.Ediv (a, b) | Prog.Emin (a, b) | Prog.Emax (a, b) ->
     expr_accesses (expr_accesses acc a) b
 
-(* The rewrite memo must be safe to consult from many domains at once,
-   so it is filled eagerly here — every access the interpreter can
-   reach lives in some statement body, all enumerable up front — and
-   never mutated afterwards (concurrent reads of an unchanging Hashtbl
-   are safe).  A miss (structurally fresh access) falls through to [f]
-   without caching. *)
+(* [local_ref] is asked once per access per session, here; lowering
+   reads the answers. *)
 let session ~prog ?local_ref ~param_env () =
-  let stmts, flops_of = prepare_tables prog in
-  let rewrite =
-    match local_ref with
-    | None -> fun _ _ -> None
-    | Some f ->
-      let cache = Hashtbl.create 64 in
-      List.iter (fun (s : Prog.stmt) ->
-        match s.Prog.body with
-        | None -> ()
-        | Some (lhs, rhs) ->
-          List.iter (fun (a : Prog.access) ->
-            let key = (s.Prog.id, Obj.repr a) in
-            if not (Hashtbl.mem cache key) then
-              Hashtbl.replace cache key (f s a))
-            (expr_accesses [ lhs ] rhs))
-        prog.Prog.stmts;
-      fun (s : Prog.stmt) (a : Prog.access) ->
-        match Hashtbl.find_opt cache (s.Prog.id, Obj.repr a) with
-        | Some r -> r
-        | None -> f s a
-  in
-  { s_prog = prog; s_stmts = stmts; s_flops_of = flops_of;
-    s_rewrite = rewrite; s_param_env = param_env }
+  let stmts = Hashtbl.create 8 in
+  List.iter (fun (s : Prog.stmt) ->
+    let flops, accesses =
+      match s.Prog.body with
+      | None -> (0, [])
+      | Some (lhs, rhs) -> (1 + expr_flops rhs, expr_accesses [ lhs ] rhs)
+    in
+    let rewrites =
+      List.map (fun a ->
+        (a, match local_ref with Some f -> f s a | None -> None))
+        accesses
+    in
+    Hashtbl.replace stmts s.Prog.id
+      { stmt = s; flops = float_of_int flops; rewrites })
+    prog.Prog.stmts;
+  { s_prog = prog; s_stmts = stmts; s_param_env = param_env }
 
-let make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch =
-  { prog = session.s_prog; stmts = session.s_stmts;
-    flops_of = session.s_flops_of; rewrite = session.s_rewrite;
-    param_env = session.s_param_env; memory; env = Hashtbl.create 32;
-    c = fresh (); mode; on_global; collect_dma; dma = fresh_tally ();
-    in_launch; launches = [] }
+type code = {
+  run : ctx -> unit;
+  nslots : int;
+  free : (string * int) array;
+      (* names read where no loop of the code binds them: set from the
+         block's bindings, else from the parameter valuation *)
+  buf_keys : (string * bool) array;  (* name, may be local *)
+  max_rank : int;
+  param_env : string -> Zint.t;
+}
+
+(* lowering state of one code *)
+type lw = {
+  sess : session;
+  names : (string, int) Hashtbl.t;
+  mutable nslots : int;
+  mutable free : (string * int) list;
+  mutable bound : string list;  (* variables of the enclosing loops *)
+  bufs : (string * bool, int) Hashtbl.t;
+  mutable nbufs : int;
+  mutable max_rank : int;
+  mutable lowered : int;
+}
+
+let fresh_slot lw =
+  let k = lw.nslots in
+  lw.nslots <- k + 1;
+  k
+
+(* the slot of a variable a loop binds *)
+let var_slot lw name =
+  match Hashtbl.find_opt lw.names name with
+  | Some k -> k
+  | None ->
+    let k = fresh_slot lw in
+    Hashtbl.replace lw.names name k;
+    k
+
+(* the slot of a variable read here: free unless an enclosing loop of
+   the code binds it *)
+let slot lw name =
+  let k = var_slot lw name in
+  if (not (List.mem name lw.bound)) && not (List.mem_assoc name lw.free) then
+    lw.free <- (name, k) :: lw.free;
+  k
+
+let buf_slot lw name ~may_be_local =
+  let key = (name, may_be_local) in
+  match Hashtbl.find_opt lw.bufs key with
+  | Some b -> b
+  | None ->
+    let b = lw.nbufs in
+    lw.nbufs <- b + 1;
+    Hashtbl.replace lw.bufs key b;
+    b
+
+(* An affine form [const + sum coef * slot], summed exactly. *)
+type affine = { const : Zint.t; terms : (int * Zint.t) list }
+
+let aff_const c = { const = c; terms = [] }
+
+let aff_add a b =
+  let terms =
+    List.fold_left (fun acc (k, c) ->
+      match List.assoc_opt k acc with
+      | Some c0 -> (k, Zint.add c0 c) :: List.remove_assoc k acc
+      | None -> (k, c) :: acc)
+      a.terms b.terms
+  in
+  { const = Zint.add a.const b.const;
+    terms = List.filter (fun (_, c) -> not (Zint.is_zero c)) terms }
+
+let aff_scale z a =
+  if Zint.is_zero z then aff_const Zint.zero
+  else
+    { const = Zint.mul z a.const;
+      terms = List.map (fun (k, c) -> (k, Zint.mul z c)) a.terms }
+
+let rec affine_of lw (e : Ast.aexpr) =
+  match e with
+  | Ast.Var n -> Some { const = Zint.zero; terms = [ (slot lw n, Zint.one) ] }
+  | Ast.Const c -> Some (aff_const c)
+  | Ast.Add (a, b) -> (
+    match (affine_of lw a, affine_of lw b) with
+    | Some x, Some y -> Some (aff_add x y)
+    | _ -> None)
+  | Ast.Sub (a, b) -> (
+    match (affine_of lw a, affine_of lw b) with
+    | Some x, Some y -> Some (aff_add x (aff_scale Zint.minus_one y))
+    | _ -> None)
+  | Ast.Mul (c, a) -> Option.map (aff_scale c) (affine_of lw a)
+  | Ast.Fdiv _ | Ast.Cdiv _ | Ast.Min _ | Ast.Max _ -> None
+
+(* the integer dot product of an affine form over the frame *)
+let affine_fn (a : affine) : int array -> int =
+  let c0 = int_of_const a.const in
+  let terms = List.sort compare a.terms in
+  match List.map (fun (k, c) -> (k, int_of_const c)) terms with
+  | [] -> fun _ -> c0
+  | [ (k, 1) ] when c0 = 0 -> fun s -> s.(k)
+  | [ (k, 1) ] -> fun s -> add_ck s.(k) c0
+  | [ (k, c) ] ->
+    let m = mul_by c in
+    fun s -> add_ck (m s.(k)) c0
+  | [ (k1, c1); (k2, c2) ] ->
+    let m1 = mul_by c1 and m2 = mul_by c2 in
+    fun s -> add_ck (add_ck (m1 s.(k1)) (m2 s.(k2))) c0
+  | terms ->
+    let ks = Array.of_list (List.map fst terms) in
+    let ms = Array.of_list (List.map (fun (_, c) -> mul_by c) terms) in
+    fun s ->
+      let acc = ref c0 in
+      for i = 0 to Array.length ks - 1 do
+        acc := add_ck !acc (ms.(i) s.(ks.(i)))
+      done;
+      !acc
+
+let rec lower_aexpr lw (e : Ast.aexpr) : int array -> int =
+  match affine_of lw e with
+  | Some a -> affine_fn a
+  | None -> (
+    match e with
+    | Ast.Var _ | Ast.Const _ -> assert false
+    | Ast.Add (a, b) ->
+      let fa = lower_aexpr lw a and fb = lower_aexpr lw b in
+      fun s -> add_ck (fa s) (fb s)
+    | Ast.Sub (a, b) ->
+      let fa = lower_aexpr lw a and fb = lower_aexpr lw b in
+      fun s -> sub_ck (fa s) (fb s)
+    | Ast.Mul (c, a) ->
+      let fa = lower_aexpr lw a and m = mul_by (int_of_const c) in
+      fun s -> m (fa s)
+    | Ast.Fdiv (a, d) ->
+      let fa = lower_aexpr lw a and d = int_of_const d in
+      fun s -> fdiv (fa s) d
+    | Ast.Cdiv (a, d) ->
+      let fa = lower_aexpr lw a and d = int_of_const d in
+      fun s -> cdiv (fa s) d
+    | Ast.Min [] | Ast.Max [] -> fun _ -> invalid_arg "Exec: empty min/max"
+    | Ast.Min (e0 :: es) -> extreme lw min e0 es
+    | Ast.Max (e0 :: es) -> extreme lw max e0 es)
+
+and extreme lw pick e0 es =
+  let f0 = lower_aexpr lw e0 in
+  let fs = Array.of_list (List.map (lower_aexpr lw) es) in
+  fun s ->
+    let m = ref (f0 s) in
+    for i = 0 to Array.length fs - 1 do
+      m := pick !m (fs.(i) s)
+    done;
+    !m
+
+(* Compute the indices of an access into [ctx.idx], left to right. *)
+let lower_indices lw (fs : (int array -> int) array) =
+  let n = Array.length fs in
+  lw.max_rank <- max lw.max_rank n;
+  match fs with
+  | [||] -> fun _ -> ()
+  | [| f0 |] -> fun ctx -> ctx.idx.(0) <- f0 ctx.slots
+  | [| f0; f1 |] ->
+    fun ctx ->
+      let s = ctx.slots in
+      let i0 = f0 s in
+      let i1 = f1 s in
+      ctx.idx.(0) <- i0;
+      ctx.idx.(1) <- i1
+  | _ ->
+    fun ctx ->
+      let s = ctx.slots in
+      for k = 0 to n - 1 do
+        ctx.idx.(k) <- fs.(k) s
+      done
+
+let unknown_global name = invalid_arg ("Memory: unknown global array " ^ name)
+
+(* One load of an array cell.  [may_be_local]: an [Ast.ref_expr],
+   local when the view declares its name. *)
+let lower_load lw name ~may_be_local fs : ctx -> float =
+  let b = buf_slot lw name ~may_be_local in
+  let fill = lower_indices lw fs in
+  let n = Array.length fs in
+  fun ctx ->
+    fill ctx;
+    match ctx.bufs.(b) with
+    | Local l ->
+      ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
+      Memory.local_get l ctx.idx n
+    | Global g ->
+      ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
+      (match ctx.hook with
+       | Some f -> f name (Memory.global_address g ctx.idx n) `Ld
+       | None -> ());
+      Memory.global_get g ctx.idx n
+    | Missing name -> unknown_global name
+
+let lower_store lw name ~may_be_local fs : ctx -> float -> unit =
+  let b = buf_slot lw name ~may_be_local in
+  let fill = lower_indices lw fs in
+  let n = Array.length fs in
+  fun ctx v ->
+    fill ctx;
+    match ctx.bufs.(b) with
+    | Local l ->
+      ctx.c.s_st <- ctx.c.s_st +. 1.0;
+      Memory.local_set l ctx.idx n v
+    | Global g ->
+      ctx.c.g_st <- ctx.c.g_st +. 1.0;
+      (match ctx.hook with
+       | Some f -> f name (Memory.global_address g ctx.idx n) `St
+       | None -> ());
+      Memory.global_set g ctx.idx n v
+    | Missing name -> unknown_global name
+
+let ref_indices lw (r : Ast.ref_expr) = Array.map (lower_aexpr lw) r.Ast.indices
+
+(* The value of iteration argument [i] of a statement instance: affine
+   arguments fold into the access functions that read them; any other
+   is computed once per instance into its own slot. *)
+type iter_val = Aff of affine | Slot of int
+
+(* An access-map row under the instance's iteration values: the row's
+   iterator part composed with the arguments, its parameter part read
+   from the parameters' slots (tile origins are loop variables there). *)
+let access_row lw (s : Prog.stmt) iters (row : Emsc_linalg.Vec.t) =
+  let np = Prog.nparams lw.sess.s_prog in
+  let depth = s.Prog.depth in
+  let acc = ref (aff_const row.(depth + np)) in
+  for i = 0 to depth - 1 do
+    if not (Zint.is_zero row.(i)) then
+      match iters.(i) with
+      | Aff a -> acc := aff_add !acc (aff_scale row.(i) a)
+      | Slot k ->
+        acc := aff_add !acc { const = Zint.zero; terms = [ (k, row.(i)) ] }
+  done;
+  for k = 0 to np - 1 do
+    if not (Zint.is_zero row.(depth + k)) then
+      let p = slot lw lw.sess.s_prog.Prog.params.(k) in
+      acc := aff_add !acc { const = Zint.zero; terms = [ (p, row.(depth + k)) ] }
+  done;
+  affine_fn !acc
+
+(* where an access of the statement goes: its local-buffer redirection
+   (name, may be local, indices), else the global array under its
+   access map *)
+let lower_access lw info iters (a : Prog.access) =
+  match List.assq_opt a info.rewrites with
+  | Some (Some r) -> (r.Ast.array, true, ref_indices lw r)
+  | Some None | None ->
+    (a.Prog.array, false, Array.map (access_row lw info.stmt iters) a.Prog.map)
+
+let rec lower_expr lw info iters (e : Prog.expr) : ctx -> float =
+  (* binary operands are evaluated right to left, the order in which
+     the loads (and so the [on_global] addresses) have always come *)
+  let bin f a b =
+    let fa = lower_expr lw info iters a and fb = lower_expr lw info iters b in
+    fun ctx ->
+      let y = fb ctx in
+      let x = fa ctx in
+      f x y
+  in
+  match e with
+  | Prog.Eref a ->
+    let name, may_be_local, fs = lower_access lw info iters a in
+    lower_load lw name ~may_be_local fs
+  | Prog.Eiter i -> (
+    match iters.(i) with
+    | Aff a ->
+      let f = affine_fn a in
+      fun ctx -> float_of_int (f ctx.slots)
+    | Slot k -> fun ctx -> float_of_int ctx.slots.(k))
+  | Prog.Eparam k ->
+    let k = slot lw lw.sess.s_prog.Prog.params.(k) in
+    fun ctx -> float_of_int ctx.slots.(k)
+  | Prog.Econst f -> fun _ -> f
+  | Prog.Eneg e ->
+    let f = lower_expr lw info iters e in
+    fun ctx -> -.f ctx
+  | Prog.Eabs e ->
+    let f = lower_expr lw info iters e in
+    fun ctx -> Float.abs (f ctx)
+  | Prog.Eadd (a, b) -> bin ( +. ) a b
+  | Prog.Esub (a, b) -> bin ( -. ) a b
+  | Prog.Emul (a, b) -> bin ( *. ) a b
+  | Prog.Ediv (a, b) -> bin ( /. ) a b
+  | Prog.Emin (a, b) -> bin Float.min a b
+  | Prog.Emax (a, b) -> bin Float.max a b
+
+let lower_call lw stmt_id (iter_args : Ast.aexpr array) : ctx -> unit =
+  match Hashtbl.find_opt lw.sess.s_stmts stmt_id with
+  | None ->
+    fun _ -> invalid_arg (Printf.sprintf "Exec: unknown statement %d" stmt_id)
+  | Some info ->
+    let computed = ref [] in
+    let iters =
+      Array.map (fun e ->
+        match affine_of lw e with
+        | Some a -> Aff a
+        | None ->
+          let k = fresh_slot lw in
+          computed := (k, lower_aexpr lw e) :: !computed;
+          Slot k)
+        iter_args
+    in
+    let computed = Array.of_list (List.rev !computed) in
+    let body =
+      match info.stmt.Prog.body with
+      | None -> fun _ -> ()
+      | Some (lhs, rhs) ->
+        let rhs = lower_expr lw info iters rhs in
+        let store =
+          let name, may_be_local, fs = lower_access lw info iters lhs in
+          lower_store lw name ~may_be_local fs
+        in
+        fun ctx -> store ctx (rhs ctx)
+    in
+    let flops = info.flops in
+    fun ctx ->
+      let s = ctx.slots in
+      for i = 0 to Array.length computed - 1 do
+        let k, f = computed.(i) in
+        s.(k) <- f s
+      done;
+      body ctx;
+      ctx.c.flops <- ctx.c.flops +. flops
+
+(* per-group movement attribution: a Copy between global memory and a
+   local buffer is one staged word moving in (global -> local) or out
+   (local -> global).  Exact under [Full] mode; [Sampled] runs only
+   record the iterations they actually execute. *)
+let record_copy ctx ~dst ~src =
+  ctx.copies <- ctx.copies +. 1.0;
+  let is_local b =
+    match ctx.bufs.(b) with Local _ -> true | Global _ | Missing _ -> false
+  in
+  let dst_local = is_local dst and src_local = is_local src in
+  if dst_local && not src_local then ctx.dma_in.(dst) <- ctx.dma_in.(dst) +. 1.0
+  else if src_local && not dst_local then
+    ctx.dma_out.(src) <- ctx.dma_out.(src) +. 1.0
+
+let seq_of (fs : (ctx -> unit) list) : ctx -> unit =
+  match Array.of_list fs with
+  | [||] -> fun _ -> ()
+  | [| f |] -> f
+  | [| f; g |] -> fun ctx -> f ctx; g ctx
+  | fs ->
+    fun ctx ->
+      for i = 0 to Array.length fs - 1 do
+        fs.(i) ctx
+      done
+
+let with_bound lw var f =
+  lw.bound <- var :: lw.bound;
+  let r = f () in
+  lw.bound <- List.tl lw.bound;
+  r
+
+(* Blocks of a launch: the product of the trip counts of the outermost
+   chain of Block loops, each evaluated at its outer loop's first
+   iteration. *)
+let rec lower_grid lw (l : Ast.loop) : ctx -> float =
+  let lb = lower_aexpr lw l.Ast.lb and ub = lower_aexpr lw l.Ast.ub in
+  let step = int_of_const l.Ast.step in
+  let k = var_slot lw l.Ast.var in
+  let inner =
+    match l.Ast.body with
+    | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] ->
+      Some (with_bound lw l.Ast.var (fun () -> lower_grid lw l'))
+    | _ -> None
+  in
+  fun ctx ->
+    let s = ctx.slots in
+    let lbv = lb s and ubv = ub s in
+    let d = sub_ck ubv lbv in
+    let trip = if d < 0 then 0.0 else float_of_int (add_ck (fdiv d step) 1) in
+    let inner =
+      match inner with
+      | None -> 1.0
+      | Some g ->
+        let saved = s.(k) in
+        s.(k) <- lbv;
+        let n = g ctx in
+        s.(k) <- saved;
+        n
+    in
+    trip *. inner
+
+let rec lower_stm lw (s : Ast.stm) : (ctx -> unit) option =
+  lw.lowered <- lw.lowered + 1;
+  match s with
+  | Ast.Loop l -> Some (lower_loop lw l)
+  | Ast.Guard (conds, body) ->
+    let conds = Array.of_list (List.map (lower_aexpr lw) conds) in
+    let body = lower_block lw body in
+    let n = Array.length conds in
+    Some
+      (fun ctx ->
+        let s = ctx.slots in
+        let i = ref 0 in
+        while !i < n && conds.(!i) s >= 0 do
+          incr i
+        done;
+        if !i = n then body ctx)
+  | Ast.Stmt_call { stmt_id; iter_args } ->
+    Some (lower_call lw stmt_id iter_args)
+  | Ast.Copy { dst; src } ->
+    let load =
+      lower_load lw src.Ast.array ~may_be_local:true (ref_indices lw src)
+    and store =
+      lower_store lw dst.Ast.array ~may_be_local:true (ref_indices lw dst)
+    in
+    let dst_b = buf_slot lw dst.Ast.array ~may_be_local:true
+    and src_b = buf_slot lw src.Ast.array ~may_be_local:true in
+    Some
+      (fun ctx ->
+        store ctx (load ctx);
+        if ctx.collect_dma then record_copy ctx ~dst:dst_b ~src:src_b)
+  | Ast.Sync -> Some (fun ctx -> ctx.c.syncs <- ctx.c.syncs +. 1.0)
+  | Ast.Fence ->
+    Some
+      (fun ctx ->
+        ctx.c.syncs <- ctx.c.syncs +. 1.0;
+        ctx.c.fences <- ctx.c.fences +. 1.0)
+  | Ast.Comment _ -> None
+
+and lower_block lw stms = seq_of (List.filter_map (lower_stm lw) stms)
+
+and lower_loop lw (l : Ast.loop) : ctx -> unit =
+  let lb = lower_aexpr lw l.Ast.lb and ub = lower_aexpr lw l.Ast.ub in
+  let step = int_of_const l.Ast.step in
+  let k = var_slot lw l.Ast.var in
+  let body = with_bound lw l.Ast.var (fun () -> lower_block lw l.Ast.body) in
+  let iterate ctx =
+    let s = ctx.slots in
+    let lbv = lb s and ubv = ub s in
+    if lbv <= ubv then begin
+      let trip = add_ck (fdiv (sub_ck ubv lbv) step) 1 in
+      let saved = s.(k) in
+      (match ctx.mode with
+       | Sampled threshold when trip >= threshold && trip > 2 ->
+         (* first + last, trapezoid rule for the middle *)
+         let before = copy_counters ctx.c in
+         let launches_before = List.length ctx.launches in
+         s.(k) <- lbv;
+         body ctx;
+         let launches_first =
+           (* launches triggered by the first iteration (freshly
+              prepended) must also be replicated for the middle *)
+           let fresh = List.length ctx.launches - launches_before in
+           List.filteri (fun i _ -> i < fresh) ctx.launches
+         in
+         s.(k) <- add_ck lbv (mul_by step (trip - 1));
+         body ctx;
+         let after_last = copy_counters ctx.c in
+         let mid = scale_counters (sub_counters after_last before) 0.5 in
+         add_scaled ctx.c mid (float_of_int (trip - 2));
+         ctx.launches <-
+           List.map
+             (fun ln ->
+               { ln with repeat = ln.repeat *. float_of_int (trip - 2) })
+             launches_first
+           @ ctx.launches
+       | Sampled _ | Full ->
+         let v = ref lbv in
+         for _ = 1 to trip do
+           s.(k) <- !v;
+           body ctx;
+           v := !v + step
+         done);
+      s.(k) <- saved
+    end
+  in
+  if l.Ast.par <> Ast.Block then iterate
+  else begin
+    let grid = lower_grid lw l in
+    fun ctx ->
+      if ctx.in_launch then iterate ctx
+      else begin
+        let grid = grid ctx in
+        Emsc_obs.Prof.probe "exec.launch"
+          ~args:(fun () -> [ ("grid", Emsc_obs.Json.Float grid) ])
+        @@ fun () ->
+        let before = copy_counters ctx.c in
+        ctx.in_launch <- true;
+        iterate ctx;
+        ctx.in_launch <- false;
+        let delta = sub_counters ctx.c before in
+        prof_launch delta;
+        if grid > 0.0 then
+          ctx.launches <-
+            { grid; per_block = scale_counters delta (1.0 /. grid);
+              repeat = 1.0 }
+            :: ctx.launches
+      end
+  end
+
+let lower sess stms =
+  let lw =
+    { sess; names = Hashtbl.create 32; nslots = 0; free = []; bound = [];
+      bufs = Hashtbl.create 8; nbufs = 0; max_rank = 0; lowered = 0 }
+  in
+  let run = lower_block lw stms in
+  Emsc_obs.Prof.add "exec.lowered_stms" (float_of_int lw.lowered);
+  let buf_keys = Array.make lw.nbufs ("", false) in
+  Hashtbl.iter (fun key b -> buf_keys.(b) <- key) lw.bufs;
+  { run; nslots = lw.nslots; free = Array.of_list (List.rev lw.free);
+    buf_keys; max_rank = lw.max_rank; param_env = sess.s_param_env }
+
+let resolve memory (name, may_be_local) =
+  match (if may_be_local then Memory.find_local memory name else None) with
+  | Some l -> Local l
+  | None -> (
+    match Memory.find_global memory name with
+    | Some g -> Global g
+    | None -> Missing name)
+
+(* Bind the code's free names (later bindings win) and resolve its
+   buffers against [memory]: once per block, never per access. *)
+let make_ctx (code : code) ~memory ~mode ~on_global ~collect_dma ~in_launch
+    ~bindings =
+  let slots = Array.make code.nslots 0 in
+  Array.iter (fun (name, k) ->
+    let bound =
+      List.fold_left
+        (fun acc (n, v) -> if String.equal n name then Some v else acc)
+        None bindings
+    in
+    let v = match bound with Some v -> v | None -> code.param_env name in
+    slots.(k) <- int_of_const v)
+    code.free;
+  let nbufs = Array.length code.buf_keys in
+  { slots; idx = Array.make code.max_rank 0;
+    bufs = Array.map (resolve memory) code.buf_keys; c = fresh (); mode;
+    hook = (match mode with Full -> on_global | Sampled _ -> None);
+    collect_dma; copies = 0.0; dma_in = Array.make nbufs 0.0;
+    dma_out = Array.make nbufs 0.0; in_launch; launches = [] }
+
+let block_dma_of_ctx (code : code) ctx =
+  let moved words =
+    let acc = ref [] in
+    Array.iteri (fun b (name, _) ->
+      if words.(b) > 0.0 then acc := (name, words.(b)) :: !acc)
+      code.buf_keys;
+    List.sort compare !acc
+  in
+  { copies = ctx.copies; moved_in = moved ctx.dma_in;
+    moved_out = moved ctx.dma_out }
 
 type block_outcome = {
   b_counters : counters;
   b_dma : block_dma;
 }
 
-let run_block session ~memory ?(mode = Full) ?on_global
-    ?(collect_dma = false) ~bindings stms =
+let run_block ~memory ?(mode = Full) ?on_global ?(collect_dma = false)
+    ~bindings (code : code) =
   let ctx =
     (* [in_launch] pre-set: the block body's own Block loops are plain
        loops here (the caller owns launch bookkeeping), and neither
        Prof nor Metrics is touched — safe on a worker domain *)
-    make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch:true
+    make_ctx code ~memory ~mode ~on_global ~collect_dma ~in_launch:true
+      ~bindings
   in
-  List.iter (fun (n, v) -> Hashtbl.replace ctx.env n v) bindings;
-  List.iter (exec_stm ctx) stms;
-  { b_counters = ctx.c; b_dma = block_dma_of_tally ctx.dma }
+  code.run ctx;
+  { b_counters = ctx.c; b_dma = block_dma_of_ctx code ctx }
 
 let run ~prog ?local_ref ~param_env ~memory ?(mode = Full) ?on_global stms =
-  let session = session ~prog ?local_ref ~param_env () in
+  let code = lower (session ~prog ?local_ref ~param_env ()) stms in
   let ctx =
-    make_ctx session ~memory ~mode ~on_global
-      ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
+    make_ctx code ~memory ~mode ~on_global
+      ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false ~bindings:[]
   in
-  List.iter (exec_stm ctx) stms;
-  record_run_metrics ctx.c ctx.dma ~occupancy:(fun () ->
-    Memory.local_occupancy ctx.memory);
+  code.run ctx;
+  let dma = fresh_tally () in
+  tally_add dma (block_dma_of_ctx code ctx);
+  record_run_metrics ctx.c dma ~occupancy:(fun () ->
+    Memory.local_occupancy memory);
   { totals = ctx.c; launches = List.rev ctx.launches }
-
-let run_instances ~prog ~param_env ~memory ?on_global insts =
-  let session = session ~prog ~param_env () in
-  let ctx =
-    make_ctx session ~memory ~mode:Full ~on_global
-      ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
-  in
-  List.iter (fun (s, iters) -> exec_body ctx s iters) insts;
-  record_run_metrics ctx.c ctx.dma ~occupancy:(fun () ->
-    Memory.local_occupancy ctx.memory);
-  ctx.c

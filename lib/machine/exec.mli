@@ -1,4 +1,4 @@
-(** AST interpreter with event accounting.
+(** Executor of the generated loop-nest AST, with event accounting.
 
     Two fidelities:
     - [Full]: every iteration executes; array contents are exact (used
@@ -67,32 +67,35 @@ val run :
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
   Emsc_codegen.Ast.stm list ->
   result
-(** [local_ref] redirects accesses into scratchpad buffers (from
+(** Lower [stms] (see {!lower}) and run them once.  [local_ref]
+    redirects accesses into scratchpad buffers (from
     {!Emsc_core.Plan.local_ref}); buffers it names must be declared in
     [memory] by the caller via {!Memory.declare_local}.  [on_global] is
     called with the flat word address for each global access (cache
-    simulation hook); it is only invoked in [Full] mode. *)
-
-val run_instances :
-  prog:Prog.t ->
-  param_env:(string -> Zint.t) ->
-  memory:Memory.t ->
-  ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
-  (Prog.stmt * Zint.t array) list ->
-  counters
-(** Execute explicit statement instances (reference path): exact
-    semantics, no rewriting, [Full] fidelity. *)
+    simulation hook); it is only invoked in [Full] mode.  Every free
+    variable of [stms] is read from [param_env] before the first
+    statement runs. *)
 
 val expr_flops : Prog.expr -> int
 
-(** {2 Block-granular execution}
+(** {2 Lowering}
 
-    The parallel runtime ([Emsc_runtime]) executes one thread block at
-    a time, each on its own domain with its own memory view.  A
-    [session] packages everything shareable across blocks: the
-    statement tables and an eagerly-filled access-rewrite memo that is
-    never mutated after construction, hence safe to consult from many
-    domains concurrently. *)
+    Statements are lowered once into OCaml closures over a per-block
+    frame, then run any number of times.  Each loop variable and bound
+    name lives in an [int] slot of the frame; every affine bound,
+    guard and subscript is a precomputed dot product over slots (an
+    access map composed with the instance's affine iteration
+    arguments), with checked arithmetic: a value outside the native
+    [int] range raises [Failure] instead of wrapping.  Buffer names
+    are resolved to their storage once per block.  Loads a statement
+    makes are issued right operand first, as they always were, so the
+    [on_global] address order is unchanged.
+
+    A [session] packages what lowering shares across codes: the
+    statement table and each access's local-buffer redirection, asked
+    once per session.  Lowered code is immutable, so one [code] may
+    run on many domains at once; all mutable state lives in the frame
+    {!run_block} builds. *)
 
 type session
 
@@ -102,6 +105,12 @@ val session :
   param_env:(string -> Zint.t) ->
   unit ->
   session
+
+type code
+
+val lower : session -> Emsc_codegen.Ast.stm list -> code
+(** Adds the number of statement nodes lowered to the
+    [exec.lowered_stms] {!Emsc_obs.Prof} counter.  Main domain only. *)
 
 type block_dma = {
   copies : float;          (** staged copies executed *)
@@ -116,19 +125,20 @@ type block_outcome = {
 }
 
 val run_block :
-  session ->
   memory:Memory.t ->
   ?mode:mode ->
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
   ?collect_dma:bool ->
   bindings:(string * Zint.t) list ->
-  Emsc_codegen.Ast.stm list ->
+  code ->
   block_outcome
-(** Execute statements under the given loop-variable [bindings] with a
-    fresh counter set.  Never touches [Metrics] or [Prof] (safe on a
-    worker domain); movement is tallied into the outcome when
-    [collect_dma] is set.  Block loops inside [stms] are treated as
-    plain loops — launch bookkeeping belongs to the caller. *)
+(** Run [code] in a fresh frame with a fresh counter set: its free
+    names take their values from [bindings] (a later binding of a
+    name wins) or else the session's parameter valuation.  Never
+    touches [Metrics] or [Prof] (safe on a worker domain); movement is
+    tallied into the outcome when [collect_dma] is set.  Block loops
+    inside the code are treated as plain loops — launch bookkeeping
+    belongs to the caller. *)
 
 (** {2 Run bookkeeping shared with the parallel runtime} *)
 

@@ -1,6 +1,7 @@
 (** Simulated memory: flat float arrays for the program's global
-    arrays, hash-backed sparse storage for scratchpad buffers (their
-    live window shifts with the tile origin). *)
+    arrays, and for each scratchpad buffer a dense window over the
+    index box its writes have touched (it grows when a write lands
+    outside it). *)
 
 open Emsc_arith
 open Emsc_ir
@@ -23,6 +24,39 @@ val read_global : t -> string -> int array -> float
 val write_global : t -> string -> int array -> float -> unit
 val read_local : t -> string -> int array -> float
 val write_local : t -> string -> int array -> float -> unit
+
+(** {2 Resolved buffers}
+
+    The executor resolves each buffer name once per block and then
+    reads and writes through these, passing the [n] indices of an
+    access as the prefix [idx.(0) .. idx.(n - 1)] of a scratch array
+    it owns, so an access allocates nothing. *)
+
+type global
+(** One global array: its data, dims and base address. *)
+
+val find_global : t -> string -> global option
+
+val global_get : global -> int array -> int -> float
+val global_set : global -> int array -> int -> float -> unit
+(** Bounds-checked like {!read_global}; a phantom array ignores the
+    indices. *)
+
+val global_address : global -> int array -> int -> int
+(** Base address plus row-major offset, bounds-checked (phantom
+    arrays included). *)
+
+type local
+(** One local buffer of one memory view. *)
+
+val find_local : t -> string -> local option
+
+val local_get : local -> int array -> int -> float
+(** A cell never written reads as [0.0]. *)
+
+val local_set : local -> int array -> int -> float -> unit
+(** @raise Invalid_argument if the buffer was written with another
+    number of indices before, or its window would pass 2{^24} cells. *)
 
 val flat_index : t -> string -> int array -> int
 (** Row-major flattened index (for cache simulation addresses). *)
@@ -54,7 +88,8 @@ val local_words : t -> int
 
 val local_occupancy : t -> (string * int) list
 (** Per local buffer, the number of distinct cells ever written, sorted
-    by name.  Buffers are sparse and never freed, so this is the
+    by name.  Buffers are never freed (only {!clear_locals} empties
+    them), so this is the
     cumulative footprint of every window the buffer held — an upper
     bound on (and for a single-block run, exactly) its peak scratchpad
     occupancy in words. *)

@@ -1,9 +1,80 @@
 open Emsc_arith
+open Emsc_linalg
 open Emsc_poly
 open Emsc_ir
 
+(* --- enumeration ---------------------------------------------------------- *)
+
+exception Unbounded_domain
+exception Int_empty
+
+(* Bound rows of [x_j] on the projection onto [x_0 .. x_j]: a lower
+   [(a, e)] means [a * x_j >= -e], an upper [a * x_j <= e], [e] over
+   [x_0 .. x_{j-1}] plus the constant at [e.(j + 1)] (see
+   {!Poly.dim_bound_pairs}). *)
+type level = {
+  lowers : (Zint.t * Vec.t) array;
+  uppers : (Zint.t * Vec.t) array;
+}
+
+(* Fourier–Motzkin levels of [p], built once by eliminating the
+   innermost dimension first.  The innermost level is [p]'s own rows,
+   so with every outer dimension fixed its bounds are exact. *)
+let levels p =
+  let n = Poly.dim p in
+  let lv = Array.make n { lowers = [||]; uppers = [||] } in
+  let cur = ref p in
+  for j = n - 1 downto 0 do
+    if Poly.is_trivially_empty !cur then raise Int_empty;
+    let lowers, uppers = Poly.dim_bound_pairs !cur j in
+    if lowers = [] || uppers = [] then raise Unbounded_domain;
+    lv.(j) <- { lowers = Array.of_list lowers; uppers = Array.of_list uppers };
+    if j > 0 then cur := Poly.eliminate_dim !cur j
+  done;
+  lv
+
+(* The integer points of [lv]'s polyhedron in lexicographic order:
+   each level's integer range at the current prefix, walked from its
+   ceiling lower to its floor upper bound. *)
+let walk lv =
+  let n = Array.length lv in
+  let x = Array.make n Zint.zero in
+  let acc = ref [] in
+  let eval j (e : Vec.t) =
+    let v = ref e.(j + 1) in
+    for i = 0 to j - 1 do
+      if not (Zint.is_zero e.(i)) then v := Zint.add !v (Zint.mul e.(i) x.(i))
+    done;
+    !v
+  in
+  let extreme pick bound rows =
+    Array.fold_left (fun m r -> pick m (bound r)) (bound rows.(0)) rows
+  in
+  let rec go j =
+    if j = n then acc := Array.copy x :: !acc
+    else begin
+      let { lowers; uppers } = lv.(j) in
+      let lo =
+        extreme Zint.max (fun (a, e) -> Zint.cdiv (Zint.neg (eval j e)) a) lowers
+      and hi = extreme Zint.min (fun (a, e) -> Zint.fdiv (eval j e) a) uppers in
+      let v = ref lo in
+      while Zint.compare !v hi <= 0 do
+        x.(j) <- !v;
+        go (j + 1);
+        v := Zint.add !v Zint.one
+      done
+    end
+  in
+  go 0;
+  List.rev !acc
+
+let rationally_unbounded p =
+  List.exists (fun i ->
+    match Poly.var_bounds p i with Some _, Some _ -> false | _ -> true)
+    (List.init (Poly.dim p) Fun.id)
+
 (* integer points of a statement domain with parameters fixed, in
-   lexicographic order *)
+   lexicographic order: one emptiness LP, then arithmetic only *)
 let domain_points (s : Prog.stmt) ~np ~param_values =
   (* fix the trailing parameter dims *)
   let fixed =
@@ -13,23 +84,16 @@ let domain_points (s : Prog.stmt) ~np ~param_values =
     in
     go 0 s.Prog.domain
   in
-  let acc = ref [] in
-  let rec scan p prefix =
-    if Poly.is_empty p then ()
-    else if Poly.dim p = 0 then acc := List.rev prefix :: !acc
-    else begin
-      match Poly.var_bounds_int p 0 with
-      | Some lo, Some hi ->
-        let v = ref lo in
-        while Zint.compare !v hi <= 0 do
-          scan (Poly.fix_dim p 0 !v) (!v :: prefix);
-          v := Zint.add !v Zint.one
-        done
-      | _ -> invalid_arg ("Reference: unbounded domain in " ^ s.Prog.name)
-    end
+  let unbounded () =
+    invalid_arg ("Reference: unbounded domain in " ^ s.Prog.name)
   in
-  scan fixed [];
-  List.rev_map Array.of_list !acc
+  if Poly.is_empty fixed then []
+  else
+    match levels fixed with
+    | lv -> walk lv
+    | exception Unbounded_domain -> unbounded ()
+    | exception Int_empty ->
+      if rationally_unbounded fixed then unbounded () else []
 
 let schedule_time (s : Prog.stmt) ~np ~param_values iters =
   Array.map (fun row ->
@@ -69,6 +133,76 @@ let instances p ~param_env =
   in
   List.map snd (List.sort (fun (ta, _) (tb, _) -> compare_times ta tb) all)
 
+(* --- execution ------------------------------------------------------------ *)
+
+(* The oracle's own evaluator, independent of {!Exec}'s lowered code:
+   each instance's body is walked as a tree, every subscript evaluated
+   exactly in [Zint], every array found by name. *)
 let run p ~param_env memory ?on_global () =
   let insts = instances p ~param_env in
-  Exec.run_instances ~prog:p ~param_env ~memory ?on_global insts
+  let np = Prog.nparams p in
+  let param_values = Array.map (fun name -> param_env name) p.Prog.params in
+  let c = Exec.fresh () in
+  let index (s : Prog.stmt) (a : Prog.access) iters =
+    Array.map (fun (row : Vec.t) ->
+      let depth = s.Prog.depth in
+      let acc = ref row.(depth + np) in
+      for i = 0 to depth - 1 do
+        acc := Zint.add !acc (Zint.mul row.(i) iters.(i))
+      done;
+      for k = 0 to np - 1 do
+        if not (Zint.is_zero row.(depth + k)) then
+          acc := Zint.add !acc (Zint.mul row.(depth + k) param_values.(k))
+      done;
+      Zint.to_int_exn !acc)
+      a.Prog.map
+  in
+  let touch (a : Prog.access) idx kind =
+    match on_global with
+    | Some f ->
+      f a.Prog.array
+        (Memory.base_address memory a.Prog.array
+         + Memory.flat_index memory a.Prog.array idx)
+        kind
+    | None -> ()
+  in
+  let read s (a : Prog.access) iters =
+    let idx = index s a iters in
+    c.Exec.g_ld <- c.Exec.g_ld +. 1.0;
+    touch a idx `Ld;
+    Memory.read_global memory a.Prog.array idx
+  in
+  let rec eval s iters (e : Prog.expr) =
+    match e with
+    | Prog.Eref a -> read s a iters
+    | Prog.Eiter i -> Zint.to_float iters.(i)
+    | Prog.Eparam k -> Zint.to_float param_values.(k)
+    | Prog.Econst f -> f
+    | Prog.Eneg e -> -.eval s iters e
+    | Prog.Eabs e -> Float.abs (eval s iters e)
+    | Prog.Eadd (a, b) -> eval s iters a +. eval s iters b
+    | Prog.Esub (a, b) -> eval s iters a -. eval s iters b
+    | Prog.Emul (a, b) -> eval s iters a *. eval s iters b
+    | Prog.Ediv (a, b) -> eval s iters a /. eval s iters b
+    | Prog.Emin (a, b) -> Float.min (eval s iters a) (eval s iters b)
+    | Prog.Emax (a, b) -> Float.max (eval s iters a) (eval s iters b)
+  in
+  List.iter (fun ((s : Prog.stmt), iters) ->
+    (match s.Prog.body with
+     | None -> ()
+     | Some (lhs, rhs) ->
+       let v = eval s iters rhs in
+       let idx = index s lhs iters in
+       c.Exec.g_st <- c.Exec.g_st +. 1.0;
+       touch lhs idx `St;
+       Memory.write_global memory lhs.Prog.array idx v);
+    let flops =
+      match s.Prog.body with
+      | None -> 0
+      | Some (_, rhs) -> 1 + Exec.expr_flops rhs
+    in
+    c.Exec.flops <- c.Exec.flops +. float_of_int flops)
+    insts;
+  Exec.record_run_metrics c (Exec.fresh_tally ()) ~occupancy:(fun () ->
+    Memory.local_occupancy memory);
+  c

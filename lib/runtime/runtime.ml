@@ -76,10 +76,17 @@ let rec contains_block (s : Ast.stm) =
   | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Stmt_call _ | Ast.Comment _ ->
     false
 
-(* Mirror [Exec.grid_size]'s launch shape: peel the outermost chain of
-   singleton Block loops, evaluating each level's bounds under the
-   accumulated bindings, and emit one task per grid point in
-   sequential order.  Bindings are inner-first. *)
+(* The body one block of launch [l] runs: inside the outermost chain
+   of singleton Block loops. *)
+let rec block_body (l : Ast.loop) =
+  match l.Ast.body with
+  | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] -> block_body l'
+  | body -> body
+
+(* Mirror the sequential executor's launch shape: peel the outermost
+   chain of singleton Block loops, evaluating each level's bounds under
+   the accumulated bindings, and emit one task (the block's bindings)
+   per grid point in sequential order.  Bindings are inner-first. *)
 let enumerate_tasks lookup (l : Ast.loop) =
   let tasks = ref [] in
   let rec go bindings (l : Ast.loop) =
@@ -97,7 +104,7 @@ let enumerate_tasks lookup (l : Ast.loop) =
         let b = (l.Ast.var, !v) :: bindings in
         (match l.Ast.body with
          | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] -> go b l'
-         | body -> tasks := (b, body) :: !tasks);
+         | _ -> tasks := b :: !tasks);
         v := Zint.add !v l.Ast.step
       done
     end
@@ -232,7 +239,6 @@ type chan_stat = {
 
 type rt = {
   cfg : cfg;
-  session : Exec.session;
   param_env : string -> Zint.t;
   memory : Memory.t;
   apool : Arena.pool;
@@ -285,7 +291,7 @@ let acquire_arena ?er rt =
 
 type launch_slots = {
   launch_id : int;  (* tags events so the report can group by launch *)
-  tasks : ((string * Zint.t) list * Ast.stm list) array;
+  tasks : (string * Zint.t) list array;
   host_bindings : (string * Zint.t) list;  (* outer-first *)
   in_slots : Exec.block_outcome option array;
   core_slots : Exec.block_outcome option array;
@@ -294,15 +300,14 @@ type launch_slots = {
 }
 
 let task_bindings st i =
-  let task_b, _ = st.tasks.(i) in
   (* run_block applies bindings in list order (later wins): host outer
      scope first, then the block chain, innermost last *)
-  st.host_bindings @ List.rev task_b
+  st.host_bindings @ List.rev st.tasks.(i)
 
 let run_phase rt st hook i ~memory phase =
   let bindings = task_bindings st i in
-  Exec.run_block rt.session ~memory ?on_global:(hook i)
-    ~collect_dma:rt.collect_dma ~bindings phase
+  Exec.run_block ~memory ?on_global:(hook i) ~collect_dma:rt.collect_dma
+    ~bindings phase
 
 (* The one schedule: tasks are partitioned into chains, and chain [c]
    runs on worker [c mod jobs] in ONE arena.  A chain is a single block
@@ -314,7 +319,7 @@ let run_phase rt st hook i ~memory phase =
    therefore always starts from a clean scratchpad and its first
    block's full move-in.  The barrier reduction keeps counter totals
    bit-identical regardless of worker count. *)
-let exec_chains rt st hook chain_id w =
+let exec_chains rt st hook body chain_id w =
   let n = Array.length st.tasks in
   let jobs = rt.wpool.Pool.jobs in
   let er = ev_ring rt w in
@@ -337,7 +342,6 @@ let exec_chains rt st hook chain_id w =
         prev_chain := c
       end;
       let memory = Arena.memory (Option.get !arena) in
-      let _, body = st.tasks.(i) in
       (match er with
        | Some r when Ev.enabled () ->
          let t0 = Ev.now () in
@@ -369,8 +373,9 @@ let chain_ids tasks =
     | _ -> false
   in
   for i = 1 to n - 1 do
-    let ba, _ = tasks.(i - 1) and bb, _ = tasks.(i) in
-    ids.(i) <- (if same_tail ba bb then ids.(i - 1) else ids.(i - 1) + 1)
+    ids.(i) <-
+      (if same_tail tasks.(i - 1) tasks.(i) then ids.(i - 1)
+       else ids.(i - 1) + 1)
   done;
   ids
 
@@ -468,7 +473,44 @@ let exec_pipelined rt st hook (ins, core, outs) w =
    | Some i -> go (stage i (acquire_arena ?er rt)));
   List.iter Dma.await !out_tickets
 
-let exec_launch rt host_bindings (l : Ast.loop) =
+(* A statement of the host program, its block code lowered once per
+   run whatever the number of launches and blocks that run it. *)
+type host =
+  | Launch of Ast.loop * launch_code
+  | Host_loop of Ast.loop * host list
+  | Host_guard of Ast.aexpr list * host list
+  | Leaf of Exec.code  (* no block loop inside: runs on the main domain *)
+
+and launch_code =
+  | Whole of Exec.code  (* one block body, run in its chain's arena *)
+  | Phased of Exec.code * Exec.code * Exec.code
+      (* move-in, compute, move-out: the double-buffered pipeline *)
+
+let rec lower_host session cfg (s : Ast.stm) =
+  match s with
+  | Ast.Loop l when l.Ast.par = Ast.Block ->
+    let body = block_body l in
+    (* residency needs whole-chain arenas: the pipelined executor
+       releases each block's arena after its move-out, which would wipe
+       the resident slab between blocks of a chain *)
+    let phases =
+      if cfg.double_buffer && not cfg.inter_tile_reuse then
+        pipeline_phases body
+      else None
+    in
+    let lower = Exec.lower session in
+    Launch
+      ( l,
+        match phases with
+        | Some (ins, core, outs) -> Phased (lower ins, lower core, lower outs)
+        | None -> Whole (lower body) )
+  | Ast.Loop l when List.exists contains_block l.Ast.body ->
+    Host_loop (l, List.map (lower_host session cfg) l.Ast.body)
+  | Ast.Guard (conds, body) when List.exists contains_block body ->
+    Host_guard (conds, List.map (lower_host session cfg) body)
+  | s -> Leaf (Exec.lower session [ s ])
+
+let exec_launch rt host_bindings (l : Ast.loop) code =
   (* host bindings are inner-first while walking (innermost shadows);
      launch state wants them outer-first for [run_block] *)
   let lookup n =
@@ -499,21 +541,10 @@ let exec_launch rt host_bindings (l : Ast.loop) =
     in
     let tracker = if rt.cfg.track_ownership then Some (fresh_tracker ()) else None in
     let hook = block_hook rt tracker in
-    let _, body0 = tasks.(0) in
-    (* residency needs whole-chain arenas: the pipelined executor
-       releases each block's arena after its move-out, which would wipe
-       the resident slab between blocks of a chain *)
-    let phases =
-      if
-        rt.cfg.double_buffer && (not rt.cfg.inter_tile_reuse)
-        && Array.length rt.channels > 0
-      then pipeline_phases body0
-      else None
-    in
     Pool.dispatch rt.wpool (fun w ->
-      match phases with
-      | Some p -> exec_pipelined rt st hook p w
-      | None -> exec_chains rt st hook chain_id w);
+      match code with
+      | Phased (ins, core, outs) -> exec_pipelined rt st hook (ins, core, outs) w
+      | Whole body -> exec_chains rt st hook body chain_id w);
     (match tracker with
      | Some { violation = Some msg; _ } -> raise (Ownership_violation msg)
      | _ -> ());
@@ -547,24 +578,24 @@ let exec_launch rt host_bindings (l : Ast.loop) =
   end
 
 (* host-level statement: no block loop inside, runs on this domain *)
-let exec_host_leaf rt host_bindings (s : Ast.stm) =
+let exec_host_leaf rt host_bindings code =
   let bindings = List.rev host_bindings in
   let o =
-    Exec.run_block rt.session ~memory:rt.memory
-      ?on_global:rt.user_hook ~collect_dma:rt.collect_dma ~bindings [ s ]
+    Exec.run_block ~memory:rt.memory ?on_global:rt.user_hook
+      ~collect_dma:rt.collect_dma ~bindings code
   in
   Exec.add_into o.Exec.b_counters rt.totals;
   Exec.tally_add rt.run_dma o.Exec.b_dma
 
-let rec exec_host rt host_bindings (s : Ast.stm) =
-  match s with
-  | Ast.Loop l when l.Ast.par = Ast.Block -> exec_launch rt host_bindings l
-  | Ast.Loop l when List.exists contains_block l.Ast.body ->
-    let lookup n =
-      match List.assoc_opt n host_bindings with
-      | Some v -> v
-      | None -> rt.param_env n
-    in
+let rec exec_host rt host_bindings (h : host) =
+  let lookup n =
+    match List.assoc_opt n host_bindings with
+    | Some v -> v
+    | None -> rt.param_env n
+  in
+  match h with
+  | Launch (l, code) -> exec_launch rt host_bindings l code
+  | Host_loop (l, body) ->
     let lb = Ast.eval lookup l.Ast.lb and ub = Ast.eval lookup l.Ast.ub in
     if Zint.compare lb ub <= 0 then begin
       let trip =
@@ -573,24 +604,17 @@ let rec exec_host rt host_bindings (s : Ast.stm) =
       in
       let v = ref lb in
       for _ = 1 to trip do
-        List.iter
-          (exec_host rt ((l.Ast.var, !v) :: host_bindings))
-          l.Ast.body;
+        List.iter (exec_host rt ((l.Ast.var, !v) :: host_bindings)) body;
         v := Zint.add !v l.Ast.step
       done
     end
-  | Ast.Guard (conds, body) when List.exists contains_block body ->
-    let lookup n =
-      match List.assoc_opt n host_bindings with
-      | Some v -> v
-      | None -> rt.param_env n
-    in
+  | Host_guard (conds, body) ->
     if
       List.for_all
         (fun c -> not (Zint.is_negative (Ast.eval lookup c)))
         conds
     then List.iter (exec_host rt host_bindings) body
-  | s -> exec_host_leaf rt host_bindings s
+  | Leaf code -> exec_host_leaf rt host_bindings code
 
 let flush_metrics rt =
   (* per-block scratchpad peaks, observed at arena release: tighter
@@ -618,7 +642,11 @@ let flush_metrics rt =
 let run ~prog ?local_ref ~param_env ~memory ?on_global
     ?(cfg = default_cfg ~jobs:1) stms =
   let cfg = { cfg with jobs = max 1 cfg.jobs } in
-  let session = Exec.session ~prog ?local_ref ~param_env () in
+  let host =
+    List.map
+      (lower_host (Exec.session ~prog ?local_ref ~param_env ()) cfg)
+      stms
+  in
   let apool =
     Arena.create_pool ?max_arenas:cfg.max_concurrent_blocks ~base:memory ()
   in
@@ -647,7 +675,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
     else None
   in
   let rt =
-    { cfg; session; param_env; memory; apool; wpool; channels;
+    { cfg; param_env; memory; apool; wpool; channels;
       collect_dma = Emsc_obs.Metrics.enabled () || Ev.enabled ();
       user_hook = on_global;
       hook_m = Mutex.create (); totals = Exec.fresh ();
@@ -665,6 +693,6 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
   Emsc_obs.Prof.probe "runtime.run"
     ~args:(fun () -> [ ("jobs", Emsc_obs.Json.Int cfg.jobs) ])
   @@ fun () ->
-  List.iter (exec_host rt []) stms;
+  List.iter (exec_host rt []) host;
   flush_metrics rt;
   { Exec.totals = rt.totals; launches = List.rev rt.launches }

@@ -41,6 +41,37 @@ let test_memory_locals () =
   Alcotest.(check (float 0.0)) "unwritten local is 0" 0.0
     (Memory.read_local m "l_A" [| 0; 0 |])
 
+(* a local window grows in every direction without losing a cell; a
+   rewrite is not a new cell; clearing keeps the window but reads 0 *)
+let test_memory_local_window () =
+  let p = Matmul.program ~n:4 in
+  let m = Memory.create p ~param_env:no_params in
+  Memory.declare_local m "l_A";
+  let cells =
+    [ (5, 5); (5, 6); (9, 5); (-3, 7); (5, -20); (40, 2); (5, 5) ]
+  in
+  List.iteri (fun k (i, j) ->
+    Memory.write_local m "l_A" [| i; j |] (float_of_int (k + 1)))
+    cells;
+  List.iteri (fun k (i, j) ->
+    if (i, j) <> (5, 5) then
+      Alcotest.(check (float 0.0)) "written cell survives growth"
+        (float_of_int (k + 1))
+        (Memory.read_local m "l_A" [| i; j |]))
+    cells;
+  Alcotest.(check (float 0.0)) "last write wins" 7.0
+    (Memory.read_local m "l_A" [| 5; 5 |]);
+  Alcotest.(check (float 0.0)) "unwritten cell inside the window" 0.0
+    (Memory.read_local m "l_A" [| 6; 6 |]);
+  Alcotest.(check (list (pair string int))) "distinct cells written"
+    [ ("l_A", 6) ] (Memory.local_occupancy m);
+  Memory.clear_locals m;
+  Alcotest.(check int) "cleared" 0 (Memory.local_words m);
+  Alcotest.(check (float 0.0)) "cleared cell reads 0" 0.0
+    (Memory.read_local m "l_A" [| 9; 5 |]);
+  Memory.write_local m "l_A" [| 9; 5 |] 2.5;
+  Alcotest.(check int) "counted again after clear" 1 (Memory.local_words m)
+
 let test_memory_phantom () =
   let p = Matmul.program ~n:1000 in
   (* phantom: no 1000x1000 allocation, indices ignored *)
@@ -209,6 +240,68 @@ let test_reference_schedule_order () =
        s2s
    | [] -> Alcotest.fail "no instances")
 
+(* The enumerator [Reference] used before it walked Fourier–Motzkin
+   levels: an emptiness LP per prefix and integer LP bounds per level.
+   Kept here only, as the witness the new enumerator is checked
+   against. *)
+let per_point_domain_points (s : Prog.stmt) ~np ~param_values =
+  let open Emsc_arith in
+  let open Emsc_poly in
+  let fixed =
+    let rec go k p =
+      if k >= np then p
+      else go (k + 1) (Poly.fix_dim p s.Prog.depth param_values.(k))
+    in
+    go 0 s.Prog.domain
+  in
+  let acc = ref [] in
+  let rec scan p prefix =
+    if Poly.is_empty p then ()
+    else if Poly.dim p = 0 then acc := List.rev prefix :: !acc
+    else begin
+      match Poly.var_bounds_int p 0 with
+      | Some lo, Some hi ->
+        let v = ref lo in
+        while Zint.compare !v hi <= 0 do
+          scan (Poly.fix_dim p 0 !v) (!v :: prefix);
+          v := Zint.add !v Zint.one
+        done
+      | _ -> invalid_arg ("Reference: unbounded domain in " ^ s.Prog.name)
+    end
+  in
+  scan fixed [];
+  List.rev_map Array.of_list !acc
+
+(* the same points in the same order, statement by statement *)
+let check_same_points name (p : Prog.t) param_env =
+  let np = Prog.nparams p in
+  let param_values = Array.map param_env p.Prog.params in
+  List.iter (fun (s : Prog.stmt) ->
+    let ints = List.map Emsc_linalg.Vec.to_ints_exn in
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "%s %s" name s.Prog.name)
+      (ints (per_point_domain_points s ~np ~param_values))
+      (ints (Reference.domain_points s ~np ~param_values)))
+    p.Prog.stmts
+
+let test_reference_points_suite () =
+  List.iter (fun (job : Emsc_driver.Pipeline.job) ->
+    match Emsc_driver.Pipeline.compile job with
+    | Ok c ->
+      check_same_points
+        (Emsc_driver.Source.name job.Emsc_driver.Pipeline.source)
+        c.Emsc_driver.Pipeline.prog no_params
+    | Error e -> Alcotest.fail (Emsc_driver.Frontend.error_message e))
+    (Suite.jobs ())
+
+(* the programs of [emsc check --fuzz 200 --seed 3] *)
+let test_reference_points_fuzz_corpus () =
+  for i = 0 to 199 do
+    let spec = Emsc_check.Gen.generate (Random.State.make [| 3; i |]) in
+    check_same_points (Printf.sprintf "fuzz %d" i)
+      (Emsc_check.Gen.materialize spec) (Emsc_check.Gen.param_env spec)
+  done
+
 (* --- timing model ------------------------------------------------------------- *)
 
 let test_occupancy () =
@@ -258,6 +351,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_memory_roundtrip;
           Alcotest.test_case "bounds check" `Quick test_memory_bounds;
           Alcotest.test_case "locals" `Quick test_memory_locals;
+          Alcotest.test_case "local window growth" `Quick
+            test_memory_local_window;
           Alcotest.test_case "phantom" `Quick test_memory_phantom;
         ] );
       ( "cache",
@@ -280,6 +375,10 @@ let () =
         [
           Alcotest.test_case "schedule order" `Quick
             test_reference_schedule_order;
+          Alcotest.test_case "points = per-point enumerator (suite)" `Quick
+            test_reference_points_suite;
+          Alcotest.test_case "points = per-point enumerator (fuzz corpus)"
+            `Quick test_reference_points_fuzz_corpus;
         ] );
       ( "timing",
         [

@@ -263,6 +263,160 @@ let test_inter_tile_matches_seq_and_moves_less () =
   Alcotest.(check (float 0.0)) "stores unchanged"
     r_full.Exec.totals.Exec.g_st r_delta.Exec.totals.Exec.g_st
 
+(* --- executor golden: every observable of every run, bit for bit --------- *)
+
+(* For every suite kernel with a generated kernel, plus the conv2d
+   inter-tile job and the overlapped jacobi1d stencil, and for each of
+   sequential [Full], sequential [Sampled 6], and the runtime at -j1,
+   -j2 and -j2 double-buffered:
+   each global array's bits, the counter totals, every launch's grid,
+   per-block counters and repeat (all [%h]), and [local_occupancy].
+   The sequential [Full] run also records the order of its global
+   accesses through [on_global] (the cache simulator depends on it).
+   The digest was recorded from the same printer on the tree-walking
+   interpreter the executor replaced; a deliberate semantic change
+   re-records it from the text the failing check prints. *)
+let executor_golden_digest = "da3b569dd3552ee5845057248eda6587"
+
+let executor_golden_text () =
+  let b = Buffer.create 8192 in
+  let pr fmt = Printf.bprintf b fmt in
+  let counters (c : Exec.counters) =
+    Printf.sprintf "%h %h %h %h %h %h %h" c.Exec.flops c.Exec.g_ld c.Exec.g_st
+      c.Exec.s_ld c.Exec.s_st c.Exec.syncs c.Exec.fences
+  in
+  let simulated (job : Pipeline.job) =
+    let c = compiled job in
+    Option.map (fun _ ->
+      ( Source.name job.Pipeline.source, c.Pipeline.prog,
+        fun ~mode ?on_global ~backend ~double_buffer () ->
+          Runner.simulate ~mode ~memory:Runner.Pseudorandom ?on_global
+            ~backend ~double_buffer c ))
+      c.Pipeline.tiled
+  in
+  (* the overlapped jacobi1d stencil: several launches, two local
+     buffers and fenced movement phases *)
+  let stencil =
+    let n = 256 and steps = 8 and ts = 32 and tt = 4 in
+    let prog = Emsc_kernels.Jacobi1d.program ~n ~steps in
+    let k = Emsc_transform.Stencil.overlapped_1d ~n ~steps ~ts ~tt prog in
+    ( "jacobi1d-overlapped", prog,
+      fun ~mode ?on_global ~backend ~double_buffer () ->
+        Runner.execute ~prog ~local_ref:k.Emsc_transform.Stencil.local_ref
+          ~locals:k.Emsc_transform.Stencil.locals ~mode
+          ~memory:Runner.Pseudorandom ?on_global ~backend ~double_buffer
+          ~block_words:k.Emsc_transform.Stencil.smem_words
+          k.Emsc_transform.Stencil.ast )
+  in
+  let runs =
+    List.filter_map simulated
+      (Emsc_kernels.Suite.jobs ()
+       @ [ conv2d_block_job ~inter_tile_reuse:true () ])
+    @ [ stencil ]
+  in
+  List.iter (fun (name, (prog : Prog.t), simulate) ->
+      List.iter (fun (run, mode, backend, double_buffer) ->
+        let trace = Buffer.create 4096 in
+        let on_global =
+          if run = "full" then
+            Some (fun arr addr kind ->
+              Printf.bprintf trace "%s %d %c\n" arr addr
+                (match kind with `Ld -> 'l' | `St -> 's'))
+          else None
+        in
+        let m, r = simulate ~mode ?on_global ~backend ~double_buffer () in
+        pr "%s %s totals %s\n" name run (counters r.Exec.totals);
+        List.iter (fun (l : Exec.launch) ->
+          pr "  launch %h %s %h\n" l.Exec.grid (counters l.Exec.per_block)
+            l.Exec.repeat)
+          r.Exec.launches;
+        List.iter (fun (d : Prog.array_decl) ->
+          let n = d.Prog.array_name in
+          let bits = Buffer.create 4096 in
+          Array.iter (fun x ->
+            Printf.bprintf bits "%Lx," (Int64.bits_of_float x))
+            (Memory.global_data m n);
+          pr "  array %s %s\n" n
+            (Digest.to_hex (Digest.string (Buffer.contents bits))))
+          prog.Prog.arrays;
+        List.iter (fun (n, k) -> pr "  local %s %d\n" n k)
+          (Memory.local_occupancy m);
+        if run = "full" then
+          pr "  on_global %d %s\n" (Buffer.length trace)
+            (Digest.to_hex (Digest.string (Buffer.contents trace))))
+        [ ("full", Exec.Full, `Seq, false);
+          ("sampled6", Exec.Sampled 6, `Seq, false);
+          ("j1", Exec.Full, `Par 1, false);
+          ("j2", Exec.Full, `Par 2, false);
+          ("j2db", Exec.Full, `Par 2, true) ])
+    runs;
+  Buffer.contents b
+
+let test_executor_golden () =
+  let text = executor_golden_text () in
+  Alcotest.(check bool) "some runs" true
+    (List.length (String.split_on_char '\n' text) > 20);
+  Alcotest.(check string) ("digest of\n" ^ text) executor_golden_digest
+    (Digest.to_hex (Digest.string text))
+
+(* --- lowering: once per session, never per iteration or block -------------- *)
+
+let rec stm_nodes (s : Ast.stm) =
+  1
+  + (match s with
+     | Ast.Loop l -> List.fold_left (fun a s -> a + stm_nodes s) 0 l.Ast.body
+     | Ast.Guard (_, body) -> List.fold_left (fun a s -> a + stm_nodes s) 0 body
+     | Ast.Stmt_call _ | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Comment _ -> 0)
+
+(* the [exec.lowered_stms] Prof counter over one call of [f] *)
+let lowered_stms f =
+  let module P = Emsc_obs.Prof in
+  P.reset ();
+  P.enable ();
+  let r =
+    Fun.protect ~finally:(fun () -> P.disable ()) @@ fun () ->
+    ignore (f ());
+    List.fold_left (fun acc (fr : P.frame) ->
+      acc
+      +. Option.value ~default:0.0
+           (List.assoc_opt "exec.lowered_stms" fr.P.f_counters))
+      0.0 (P.snapshot ())
+  in
+  P.reset ();
+  int_of_float r
+
+let test_lowered_once_per_session () =
+  let at n =
+    let c = compiled (Emsc_kernels.Matmul.job ~n ()) in
+    let ast = (Option.get c.Pipeline.tiled).Pipeline.ast in
+    let nodes = List.fold_left (fun a s -> a + stm_nodes s) 0 ast in
+    (nodes, lowered_stms (fun () -> simulate_seq c))
+  in
+  let nodes16, seq16 = at 16 and nodes64, seq64 = at 64 in
+  Alcotest.(check int) "same AST shape at n=16 and n=64" nodes16 nodes64;
+  Alcotest.(check int) "every node lowered exactly once (n=16)" nodes16 seq16;
+  Alcotest.(check int) "lowering does not grow with the iterations" seq16 seq64
+
+let test_runtime_lowers_once () =
+  let lowered ?(double_buffer = false) n =
+    let c = compiled (Emsc_kernels.Matmul.job ~n ()) in
+    let blocks = ref 0.0 in
+    let count =
+      lowered_stms (fun () ->
+        let _, r = simulate_par ~double_buffer ~jobs:2 c in
+        blocks :=
+          List.fold_left (fun a (l : Exec.launch) -> a +. l.Exec.grid) 0.0
+            r.Exec.launches)
+    in
+    (count, !blocks)
+  in
+  let l32, b32 = lowered 32 and l64, b64 = lowered 64 in
+  Alcotest.(check bool) "more blocks at n=64" true (b64 > b32 && b32 > 1.0);
+  Alcotest.(check bool) "something lowered" true (l32 > 0);
+  Alcotest.(check int) "-j2 lowers once, whatever the block count" l32 l64;
+  Alcotest.(check int) "double-buffered phases lower the same nodes" l32
+    (fst (lowered ~double_buffer:true 64))
+
 (* --- the one schedule ------------------------------------------------------ *)
 
 module Ev = Emsc_obs.Events
@@ -464,6 +618,13 @@ let () =
       ( "inter-tile-reuse",
         [ Alcotest.test_case "bit-identical + strictly fewer loads" `Quick
             test_inter_tile_matches_seq_and_moves_less ] );
+      ( "golden",
+        [ Alcotest.test_case "executor digest" `Quick test_executor_golden ] );
+      ( "lowering",
+        [ Alcotest.test_case "once per session" `Quick
+            test_lowered_once_per_session;
+          Alcotest.test_case "runtime lowers once" `Quick
+            test_runtime_lowers_once ] );
       ( "schedule",
         [ Alcotest.test_case "block i on worker i mod 3" `Quick
             test_static_schedule_places_blocks;
