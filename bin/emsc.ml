@@ -642,17 +642,18 @@ let profile_cmd =
          & info [ "hotspots" ]
              ~doc:"Self-profile the compiler itself: print a top-K \
                    self-time table of the hot passes (FM projection, \
-                   simplex, ILP, scanning, driver stages) to stderr, \
-                   write flamegraph-compatible collapsed stacks (see \
-                   --collapsed), and embed the compile_profile section \
-                   in the JSON report.")
+                   simplex, ILP, scanning, driver stages) to stderr and \
+                   embed the compile_profile section in the JSON report; \
+                   with --collapsed, also write flamegraph-compatible \
+                   collapsed stacks.")
   in
   let collapsed_arg =
-    Arg.(value & opt string "emsc-profile.collapsed"
+    Arg.(value & opt (some string) None
          & info [ "collapsed" ] ~docv:"FILE"
-             ~doc:"Where --hotspots writes collapsed stacks (one \
+             ~doc:"With --hotspots, write collapsed stacks to FILE (one \
                    'pass;pass;pass <self µs>' line per call stack; feed \
-                   to flamegraph.pl or speedscope).")
+                   to flamegraph.pl or speedscope).  Nothing is written \
+                   without it.")
   in
   let run file machine arch merge delta optimize_movement inter_tile_reuse
       block mem thread threads global_sync backend jobs double_buffer
@@ -720,8 +721,11 @@ let profile_cmd =
         let prof = Prof.snapshot () in
         if hotspots then begin
           Prof.pp_top Format.err_formatter prof;
-          write_or_die collapsed (fun () -> Prof.write_collapsed collapsed prof);
-          Printf.eprintf "collapsed stacks written to %s\n%!" collapsed
+          Option.iter
+            (fun file ->
+              write_or_die file (fun () -> Prof.write_collapsed file prof);
+              Printf.eprintf "collapsed stacks written to %s\n%!" file)
+            collapsed
         end;
         fields @ [ ("compile_profile", Prof.json ~wall_ms prof) ]
       end

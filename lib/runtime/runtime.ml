@@ -113,80 +113,59 @@ let enumerate_tasks lookup (l : Ast.loop) =
   Array.of_list (List.rev !tasks)
 
 (* ----------------------------------------------------------------- *)
-(* Worker pool: [jobs] domains, one dispatched closure per launch     *)
+(* Crews: [jobs] worker lanes and [jobs] DMA lanes, reused across runs *)
 
-module Pool = struct
-  type t = {
-    jobs : int;
-    m : Mutex.t;
-    work_cv : Condition.t;
-    done_cv : Condition.t;
-    mutable epoch : int;
-    mutable work : (int -> unit) option;
-    mutable remaining : int;
-    mutable stop : bool;
-    mutable error : exn option;
-    mutable domains : unit Domain.t array;
-  }
+type crew = { workers : Lane.t array; dmas : Lane.t array }
 
-  let worker p w () =
-    let rec loop my_epoch =
-      Mutex.lock p.m;
-      while (not p.stop) && p.epoch = my_epoch do
-        Condition.wait p.work_cv p.m
-      done;
-      if p.stop then Mutex.unlock p.m
-      else begin
-        let e = p.epoch in
-        let f = Option.get p.work in
-        Mutex.unlock p.m;
-        (try f w
-         with exn ->
-           Mutex.lock p.m;
-           if p.error = None then p.error <- Some exn;
-           Mutex.unlock p.m);
-        Mutex.lock p.m;
-        p.remaining <- p.remaining - 1;
-        if p.remaining = 0 then Condition.broadcast p.done_cv;
-        Mutex.unlock p.m;
-        loop e
-      end
-    in
-    loop 0
+let crews_m = Mutex.create ()
+let free_crews : (int, crew list) Hashtbl.t = Hashtbl.create 4
 
-  let create jobs =
-    let p =
-      { jobs; m = Mutex.create (); work_cv = Condition.create ();
-        done_cv = Condition.create (); epoch = 0; work = None;
-        remaining = 0; stop = false; error = None; domains = [||] }
-    in
-    p.domains <- Array.init jobs (fun w -> Domain.spawn (worker p w));
-    p
+(* A run holds its crew exclusively: two runs sharing a FIFO lane could
+   deadlock, one run's worker job awaiting a DMA job queued behind the
+   other run's.  Concurrent runs therefore build a crew each, and all
+   of them return to the free list.  A lane spawns its domain on its
+   first job, so a run that never double-buffers spawns no DMA
+   domain. *)
+let checkout jobs =
+  let reused =
+    Mutex.protect crews_m @@ fun () ->
+    match Hashtbl.find_opt free_crews jobs with
+    | Some (c :: rest) ->
+      Hashtbl.replace free_crews jobs rest;
+      Some c
+    | _ -> None
+  in
+  match reused with
+  | Some c -> c
+  | None ->
+    { workers = Array.init jobs (fun _ -> Lane.create ());
+      dmas = Array.init jobs (fun _ -> Lane.create ()) }
 
-  (* run [f 0 .. f (jobs-1)] to completion; re-raise the first worker
-     exception *)
-  let dispatch p f =
-    Mutex.lock p.m;
-    p.work <- Some f;
-    p.remaining <- p.jobs;
-    p.error <- None;
-    p.epoch <- p.epoch + 1;
-    Condition.broadcast p.work_cv;
-    while p.remaining > 0 do
-      Condition.wait p.done_cv p.m
-    done;
-    let err = p.error in
-    Mutex.unlock p.m;
-    match err with Some e -> raise e | None -> ()
+let checkin jobs c =
+  Mutex.protect crews_m @@ fun () ->
+  let rest = Option.value ~default:[] (Hashtbl.find_opt free_crews jobs) in
+  Hashtbl.replace free_crews jobs (c :: rest)
 
-  let shutdown p =
-    Mutex.lock p.m;
-    p.stop <- true;
-    Condition.broadcast p.work_cv;
-    Mutex.unlock p.m;
-    Array.iter Domain.join p.domains;
-    p.domains <- [||]
-end
+(* run [f 0 .. f (jobs-1)], [f w] on worker lane [w], to completion;
+   re-raise the first worker exception once every worker is done, and
+   a failed submit (a domain that could not be spawned) once the jobs
+   already queued are.  The probe roots a worker's Prof stack, so what
+   it records (arena waits, DMA lane spawns) is attributed. *)
+let dispatch crew f =
+  let queued = ref [] in
+  match
+    Array.iteri
+      (fun w lane ->
+        queued :=
+          Lane.submit lane (fun () ->
+            Emsc_obs.Prof.probe "runtime.worker" (fun () -> f w))
+          :: !queued)
+      crew.workers
+  with
+  | () -> Lane.await_all (List.rev !queued)
+  | exception e ->
+    (try Lane.await_all !queued with _ -> ());
+    raise e
 
 (* ----------------------------------------------------------------- *)
 (* Debug write-ownership tracking                                     *)
@@ -242,8 +221,7 @@ type rt = {
   param_env : string -> Zint.t;
   memory : Memory.t;
   apool : Arena.pool;
-  wpool : Pool.t;
-  channels : Dma.channel array;  (* empty unless double_buffer *)
+  crew : crew;  (* held exclusively for the run *)
   collect_dma : bool;
   user_hook : (string -> int -> [ `Ld | `St ] -> unit) option;
   hook_m : Mutex.t;
@@ -269,16 +247,14 @@ let block_hook rt tracker i =
     Some
       (fun arr addr kind ->
         (match rt.user_hook with
-         | Some f ->
-           Mutex.lock rt.hook_m;
-           f arr addr kind;
-           Mutex.unlock rt.hook_m
+         | Some f -> Mutex.protect rt.hook_m (fun () -> f arr addr kind)
          | None -> ());
         match tracker with
         | Some tr -> tracker_record tr i arr addr kind
         | None -> ())
 
 let acquire_arena ?er rt =
+  Emsc_obs.Prof.probe "runtime.arena_acquire" @@ fun () ->
   match er with
   | Some r when Ev.enabled () ->
     (* records the wait for pool capacity; ~0-length when the pool has
@@ -321,7 +297,7 @@ let run_phase rt st hook i ~memory phase =
    bit-identical regardless of worker count. *)
 let exec_chains rt st hook body chain_id w =
   let n = Array.length st.tasks in
-  let jobs = rt.wpool.Pool.jobs in
+  let jobs = rt.cfg.jobs in
   let er = ev_ring rt w in
   let arena = ref None in
   let release_current () =
@@ -380,11 +356,14 @@ let chain_ids tasks =
   ids
 
 (* double-buffered path: worker [w] runs blocks [w], [w + jobs], ...;
-   its DMA channel carries the move phases, and block j+1's move-in is
-   staged while block j computes *)
+   its DMA lane carries the move phases, and block j+1's move-in is
+   staged while block j computes.  The worker returns only once every
+   job it queued has run, also when a phase raises, so a failed run
+   leaves its lane idle for the next run and frees every arena it
+   took. *)
 let exec_pipelined rt st hook (ins, core, outs) w =
   let n = Array.length st.tasks in
-  let jobs = rt.wpool.Pool.jobs in
+  let jobs = rt.cfg.jobs in
   let next_task =
     let k = ref w in
     fun () ->
@@ -395,29 +374,37 @@ let exec_pipelined rt st hook (ins, core, outs) w =
       end
       else None
   in
-  let chan = rt.channels.(w) in
+  let lane = rt.crew.dmas.(w) in
   let er = ev_ring rt w in
-  let events_on = rt.ev <> None in
+  let queued = ref [] and taken = ref [] in
+  let submit ~event f =
+    (* [event] is only built when the lane has a ring and events are on *)
+    let t =
+      Lane.submit lane ~event (fun () -> Emsc_obs.Prof.probe "runtime.dma" f)
+    in
+    queued := t :: !queued;
+    t
+  in
+  let take a =
+    taken := a :: !taken;
+    a
+  in
   let stage i arena =
     let run () =
       st.in_slots.(i) <-
         Some (run_phase rt st hook i ~memory:(Arena.memory arena) ins)
     in
     let t =
-      if events_on then
-        Dma.submit chan run ~event:(fun () ->
-          let words =
-            match st.in_slots.(i) with
-            | Some o -> sum_words o.Exec.b_dma.Exec.moved_in
-            | None -> 0.0
-          in
-          Ev.Dma_transfer
-            { launch = st.launch_id; block = i; dir = `In; words })
-      else Dma.submit chan run
+      submit run ~event:(fun () ->
+        let words =
+          match st.in_slots.(i) with
+          | Some o -> sum_words o.Exec.b_dma.Exec.moved_in
+          | None -> 0.0
+        in
+        Ev.Dma_transfer { launch = st.launch_id; block = i; dir = `In; words })
     in
     (i, arena, t)
   in
-  let out_tickets = ref [] in
   let rec go (i, arena, tin) =
     let next =
       match next_task () with
@@ -425,15 +412,15 @@ let exec_pipelined rt st hook (ins, core, outs) w =
       | Some j -> (
         (* opportunistic prefetch: skip when the pool is full now *)
         match Arena.try_acquire rt.apool ~words:rt.cfg.block_words with
-        | Some a -> Some (`Staged (stage j a))
+        | Some a -> Some (`Staged (stage j (take a)))
         | None -> Some (`Plain j))
     in
     (match er with
      | Some r when Ev.enabled () ->
        let t0 = Ev.now () in
-       Dma.await tin;
+       Lane.await tin;
        Ev.emit r ~t0 (Ev.Dma_wait { launch = st.launch_id; block = i })
-     | _ -> Dma.await tin);
+     | _ -> Lane.await tin);
     (match er with
      | Some r when Ev.enabled () ->
        let t0 = Ev.now () in
@@ -450,28 +437,31 @@ let exec_pipelined rt st hook (ins, core, outs) w =
       st.out_slots.(i) <-
         Some (run_phase rt st hook i ~memory:(Arena.memory arena) outs)
     in
-    let tout =
-      if events_on then
-        Dma.submit chan run_out ~event:(fun () ->
-          let words =
-            match st.out_slots.(i) with
-            | Some o -> sum_words o.Exec.b_dma.Exec.moved_out
-            | None -> 0.0
-          in
-          Ev.Dma_transfer
-            { launch = st.launch_id; block = i; dir = `Out; words })
-      else Dma.submit chan run_out
-    in
-    out_tickets := tout :: !out_tickets;
+    ignore
+      (submit run_out ~event:(fun () ->
+         let words =
+           match st.out_slots.(i) with
+           | Some o -> sum_words o.Exec.b_dma.Exec.moved_out
+           | None -> 0.0
+         in
+         Ev.Dma_transfer
+           { launch = st.launch_id; block = i; dir = `Out; words }));
     match next with
     | Some (`Staged s) -> go s
-    | Some (`Plain j) -> go (stage j (acquire_arena ?er rt))
+    | Some (`Plain j) -> go (stage j (take (acquire_arena ?er rt)))
     | None -> ()
   in
-  (match next_task () with
-   | None -> ()
-   | Some i -> go (stage i (acquire_arena ?er rt)));
-  List.iter Dma.await !out_tickets
+  match
+    match next_task () with
+    | None -> ()
+    | Some i -> go (stage i (take (acquire_arena ?er rt)))
+  with
+  | () -> Lane.await_all !queued
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Lane.await_all !queued with _ -> ());
+    List.iter Arena.release !taken;
+    Printexc.raise_with_backtrace e bt
 
 (* A statement of the host program, its block code lowered once per
    run whatever the number of launches and blocks that run it. *)
@@ -541,15 +531,18 @@ let exec_launch rt host_bindings (l : Ast.loop) code =
     in
     let tracker = if rt.cfg.track_ownership then Some (fresh_tracker ()) else None in
     let hook = block_hook rt tracker in
-    Pool.dispatch rt.wpool (fun w ->
-      match code with
-      | Phased (ins, core, outs) -> exec_pipelined rt st hook (ins, core, outs) w
-      | Whole body -> exec_chains rt st hook body chain_id w);
+    Emsc_obs.Prof.probe "runtime.dispatch" (fun () ->
+      dispatch rt.crew (fun w ->
+        match code with
+        | Phased (ins, core, outs) ->
+          exec_pipelined rt st hook (ins, core, outs) w
+        | Whole body -> exec_chains rt st hook body chain_id w));
     (match tracker with
      | Some { violation = Some msg; _ } -> raise (Ownership_violation msg)
      | _ -> ());
     (* barrier reduction, in block order: exact for the integer-valued
        counters, so totals are independent of jobs *)
+    Emsc_obs.Prof.probe "runtime.reduce" @@ fun () ->
     let delta = Exec.fresh () in
     for i = 0 to n - 1 do
       let cs = rt.chan_stats.(st.chan_of.(i)) in
@@ -621,6 +614,14 @@ let flush_metrics rt =
      than the sequential executor's cumulative union of windows *)
   Exec.record_run_metrics rt.totals rt.run_dma ~occupancy:(fun () ->
     Arena.peak_occupancy rt.apool);
+  if Emsc_obs.Prof.enabled () then begin
+    (* the DMA lanes' tallies, attributed to [runtime.run] *)
+    let sum f = Array.fold_left (fun a cs -> a +. f cs) 0.0 rt.chan_stats in
+    Emsc_obs.Prof.add "runtime.dma.move_in_words" (sum (fun cs -> cs.in_words));
+    Emsc_obs.Prof.add "runtime.dma.move_out_words"
+      (sum (fun cs -> cs.out_words));
+    Emsc_obs.Prof.add "runtime.dma.transfers" (sum (fun cs -> cs.transfers))
+  end;
   if Emsc_obs.Metrics.enabled () then begin
     let open Emsc_obs in
     Metrics.counter "runtime.blocks" (float_of_int rt.blocks_run);
@@ -650,23 +651,23 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
   let apool =
     Arena.create_pool ?max_arenas:cfg.max_concurrent_blocks ~base:memory ()
   in
-  let wpool = Pool.create cfg.jobs in
-  let channels =
-    if cfg.double_buffer then
-      Array.init cfg.jobs (fun i -> Dma.create ~id:i)
-    else [||]
-  in
+  let crew = checkout cfg.jobs in
+  Fun.protect ~finally:(fun () -> checkin cfg.jobs crew) @@ fun () ->
+  (* DMA rings are attached per run: a crew outlives [Ev.reset], so a
+     ring kept from an earlier run may no longer be registered *)
+  let ev_on = Ev.enabled () in
+  Array.iteri
+    (fun i lane ->
+      Lane.set_event_ring lane
+        (if ev_on && cfg.double_buffer then
+           Some (Ev.ring ~kind:Ev.Dma_track ("dma" ^ string_of_int i))
+         else None))
+    crew.dmas;
   let ev =
-    if Ev.enabled () then begin
-      (* one exec track per worker, one DMA lane per channel, one
+    if ev_on then begin
+      (* one exec track per worker, one DMA track per lane, one
          arena-occupancy track; registered up front so the hot path
          only indexes arrays *)
-      Array.iter
-        (fun ch ->
-          Dma.set_event_ring ch
-            (Ev.ring ~kind:Ev.Dma_track
-               ("dma" ^ string_of_int (Dma.id ch))))
-        channels;
       Arena.set_event_ring apool (Ev.ring ~kind:Ev.Arena_track "arena");
       Some
         (Array.init cfg.jobs (fun i ->
@@ -675,8 +676,9 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
     else None
   in
   let rt =
-    { cfg; param_env; memory; apool; wpool; channels;
-      collect_dma = Emsc_obs.Metrics.enabled () || Ev.enabled ();
+    { cfg; param_env; memory; apool; crew;
+      collect_dma =
+        Emsc_obs.Metrics.enabled () || ev_on || Emsc_obs.Prof.enabled ();
       user_hook = on_global;
       hook_m = Mutex.create (); totals = Exec.fresh ();
       run_dma = Exec.fresh_tally ();
@@ -685,11 +687,6 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
           { in_words = 0.; out_words = 0.; transfers = 0. });
       ev; launch_seq = 0; launches = []; blocks_run = 0 }
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown wpool;
-      Array.iter Dma.shutdown channels)
-  @@ fun () ->
   Emsc_obs.Prof.probe "runtime.run"
     ~args:(fun () -> [ ("jobs", Emsc_obs.Json.Int cfg.jobs) ])
   @@ fun () ->

@@ -3,19 +3,28 @@
     Executes a compiled kernel AST with true parallelism on OCaml 5
     domains, realizing the machine model the compiler targets: each
     launch's outermost band of [Block]-parallel loops is decomposed
-    into block tasks run by a fixed domain pool under one static
-    schedule.  The blocks are grouped into chains — a chain is a single
-    block unless the plan carries inter-tile delta guards — and chain
-    [c] runs on worker [c mod jobs] in one scratchpad {!Arena} (shared
+    into block tasks run by [jobs] workers under one static schedule.
+    The blocks are grouped into chains — a chain is a single block
+    unless the plan carries inter-tile delta guards — and chain [c]
+    runs on worker [c mod jobs] in one scratchpad {!Arena} (shared
     globals, private locals), at most [max_concurrent_blocks] arenas
     held at once.  When [double_buffer] is set and the block body has
     the canonical move-in / compute / move-out shape, worker [w] runs
-    blocks [w], [w + jobs], ... with the move phases on its own
-    asynchronous {!Dma} channel, overlapping block [j]'s compute with
-    block [j+1]'s move-in.  Launches are separated by global barriers:
-    all block tasks join, counters are reduced in block order
-    (bit-identical to sequential execution for any [jobs] value), and
-    movement metrics are fenced out.
+    blocks [w], [w + jobs], ... with the move phases on its own DMA
+    lane, overlapping block [j]'s compute with block [j+1]'s move-in.
+    Launches are separated by global barriers: all block tasks join,
+    counters are reduced in block order (bit-identical to sequential
+    execution for any [jobs] value), and movement metrics are fenced
+    out.
+
+    A run spawns no domains of its own.  It checks out a crew —
+    [jobs] worker lanes and [jobs] DMA lanes ({!Lane}) — from a
+    process-wide free list keyed by [jobs], holds it exclusively, and
+    returns it when it ends, also when it raises.  A lane's domain
+    lingers {!Lane.linger_s} after its last job, so back-to-back runs
+    reuse one set of domains and an idle process keeps none.
+    Concurrent runs with the same [jobs] each get a crew of their
+    own.
 
     Determinism rests on the plan's launch race-freedom: blocks of one
     launch write disjoint global cells and never read another block's
@@ -31,8 +40,8 @@ open Emsc_codegen
 open Emsc_machine
 
 type cfg = {
-  jobs : int;                    (** worker domains *)
-  double_buffer : bool;          (** pipeline move phases on DMA channels *)
+  jobs : int;                    (** worker lanes *)
+  double_buffer : bool;          (** pipeline move phases on DMA lanes *)
   track_ownership : bool;
       (** debug: detect cross-block global write conflicts and
           reads-of-foreign-writes within a launch *)

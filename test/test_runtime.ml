@@ -2,8 +2,10 @@
    equality with the sequential interpreter (arrays, counter totals,
    launch shapes) across job counts and double buffering; the one
    static block schedule; arena-pool semantics; the DMA pipeline
-   splitter; the write-ownership tracker; and the double-buffer
-   capacity rule. *)
+   splitter; the write-ownership tracker; the double-buffer capacity
+   rule; and the lanes a run borrows its worker and DMA domains from
+   (reused across runs, retired when idle, left usable by a failed
+   run). *)
 
 open Emsc_arith
 open Emsc_ir
@@ -368,8 +370,9 @@ let rec stm_nodes (s : Ast.stm) =
      | Ast.Guard (_, body) -> List.fold_left (fun a s -> a + stm_nodes s) 0 body
      | Ast.Stmt_call _ | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Comment _ -> 0)
 
-(* the [exec.lowered_stms] Prof counter over one call of [f] *)
-let lowered_stms f =
+(* the Prof counter [name], summed over every stack and domain, over
+   one call of [f] *)
+let prof_counter name f =
   let module P = Emsc_obs.Prof in
   P.reset ();
   P.enable ();
@@ -378,12 +381,13 @@ let lowered_stms f =
     ignore (f ());
     List.fold_left (fun acc (fr : P.frame) ->
       acc
-      +. Option.value ~default:0.0
-           (List.assoc_opt "exec.lowered_stms" fr.P.f_counters))
+      +. Option.value ~default:0.0 (List.assoc_opt name fr.P.f_counters))
       0.0 (P.snapshot ())
   in
   P.reset ();
   int_of_float r
+
+let lowered_stms f = prof_counter "exec.lowered_stms" f
 
 let test_lowered_once_per_session () =
   let at n =
@@ -575,12 +579,178 @@ let test_events_on_bit_identical_with_report () =
 (* with recording off, the backend registers no rings at all — the
    plain (uninstrumented) path runs and nothing is drainable *)
 let test_events_off_leaves_no_tracks () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:16 ()) in
+  (* the same crew first runs with events on: its DMA lanes must drop
+     their rings when the next run has events off *)
+  ignore
+    (Runner.with_runtime_report (fun () ->
+       simulate_par ~double_buffer:true ~jobs:2 c));
   Ev.reset ();
   Alcotest.(check bool) "events disabled" false (Ev.enabled ());
-  let c = compiled (Emsc_kernels.Matmul.job ~n:16 ()) in
   let seq = simulate_seq c in
   check_same c.Pipeline.prog seq (simulate_par ~double_buffer:true ~jobs:2 c);
   Alcotest.(check int) "no tracks recorded" 0 (List.length (Ev.drain ()))
+
+(* --- lanes: reuse, retirement, failure, concurrency ----------------------- *)
+
+let run_par ?on_global ?(jobs = 2) c =
+  Runner.simulate ~memory:Runner.Pseudorandom ?on_global ~backend:(`Par jobs)
+    ~double_buffer:true c
+
+(* live lanes once every idle domain has had time to retire *)
+let lanes_after_retirement () =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Lane.live () > 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf Lane.linger_s
+  done;
+  Lane.live ()
+
+(* K back-to-back double-buffered -j2 runs of matmul n=32 (4 blocks, so
+   both workers and both DMA lanes get work) spawn one crew: 4 domains,
+   where one crew per run would spawn 4K.  A trial starts with every
+   lane retired.  A scheduling stall longer than the linger between two
+   runs retires a lane, and the next run respawns it; such a trial is
+   repeated, up to three in all. *)
+let test_lanes_reused_across_runs () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  let k = 8 in
+  let trial () =
+    Alcotest.(check int) "no lane alive before the trial" 0
+      (lanes_after_retirement ());
+    prof_counter "runtime.domain_spawns" (fun () ->
+      for _ = 1 to k do
+        ignore (run_par c)
+      done)
+  in
+  let rec trials acc =
+    let s = trial () in
+    if s = 4 || List.length acc = 2 then List.rev (s :: acc)
+    else trials (s :: acc)
+  in
+  let counts = trials [] in
+  Alcotest.(check int)
+    (Printf.sprintf "%d runs spawn 4 domains (trials: %s)" k
+       (String.concat ", " (List.map string_of_int counts)))
+    4
+    (List.nth counts (List.length counts - 1));
+  Unix.sleepf Lane.linger_s;
+  Alcotest.(check int) "idle lanes retire" 0 (lanes_after_retirement ())
+
+(* block i of a 4-block launch evaluates a guard [2^61 * i >= 0], whose
+   checked arithmetic overflows for i >= 2: a Failure raised inside a
+   worker job, on both workers at -j2 *)
+let overflow_prog =
+  let np = 0 in
+  let w = Prog.mk_access ~array:"A" ~kind:Prog.Write ~rows:[ [ 1; 0 ] ] in
+  let s =
+    Build.stmt ~id:1 ~name:"S_overflow" ~np ~depth:1 ~iter_names:[| "i" |]
+      ~domain:(Build.box_domain ~np [ (0, 3) ])
+      ~writes:[ w ] ~reads:[] ~body:(w, Prog.Econst 1.0) ~beta:[ 0; 0 ] ()
+  in
+  { Prog.params = [||]; arrays = [ Build.array1 "A" 8 ~np ]; stmts = [ s ] }
+
+let overflow_ast =
+  [ Ast.Loop
+      { Ast.var = "i"; lb = Ast.Const Zint.zero;
+        ub = Ast.Const (Zint.of_int 3); step = Zint.one; par = Ast.Block;
+        body =
+          [ Ast.Guard
+              ( [ Ast.Mul (Zint.shift_left Zint.one 61, Ast.Var "i") ],
+                [ Ast.Stmt_call { stmt_id = 1; iter_args = [| Ast.Var "i" |] }
+                ] ) ] } ]
+
+(* a run that raises leaves its crew idle and usable: a worker job's
+   checked-arithmetic Failure, the tracker's race, and a raising
+   [on_global] hook part-way through a double-buffered run (in a DMA
+   job or a compute phase); after each, a run on the same crew is
+   bit-identical to sequential execution, and none of the failed run's
+   queued jobs runs after it returned *)
+let test_failed_run_leaves_crew_usable () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  let seq = simulate_seq c in
+  let next_run_exact ?(jobs = 2) () =
+    check_same c.Pipeline.prog seq (simulate_par ~double_buffer:true ~jobs c)
+  in
+  (match Runner.execute ~prog:overflow_prog ~backend:(`Par 2) overflow_ast with
+   | _ -> Alcotest.fail "index overflow went unnoticed"
+   | exception Failure msg ->
+     Alcotest.(check string) "checked arithmetic"
+       "Exec: integer overflow in index arithmetic" msg);
+  next_run_exact ();
+  (match
+     Runner.execute ~prog:racy_prog ~backend:(`Par 2) ~track_ownership:true
+       racy_ast
+   with
+   | _ -> Alcotest.fail "write-write race went undetected"
+   | exception Runtime.Ownership_violation _ -> ());
+  next_run_exact ();
+  List.iter
+    (fun jobs ->
+      let calls = ref 0 in
+      let on_global _ _ _ =
+        incr calls;
+        if !calls = 1000 then raise Exit
+      in
+      (match run_par ~on_global ~jobs c with
+       | _ -> Alcotest.fail "the hook's exception was lost"
+       | exception Exit -> ());
+      let at_return = !calls in
+      next_run_exact ~jobs ();
+      Alcotest.(check int) "no job of the failed run ran after it returned"
+        at_return !calls)
+    [ 1; 2 ]
+
+(* two domains running -j2 at once each hold a crew of their own *)
+let test_concurrent_runs () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  let seq = simulate_seq c in
+  let callers =
+    Array.init 2 (fun _ ->
+      Domain.spawn (fun () ->
+        List.init 4 (fun _ -> simulate_par ~double_buffer:true ~jobs:2 c)))
+  in
+  Array.iter
+    (fun d -> List.iter (check_same c.Pipeline.prog seq) (Domain.join d))
+    callers
+
+(* the resident set stays flat in the number of runs: the high-water
+   mark after N runs and after 4N more differ by less than 3 MiB (under
+   30 KB a run).  Linux only: elsewhere there is no /proc/self/status. *)
+let vm_hwm_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | line -> (
+        match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+        | kb -> Some kb
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> find ())
+      | exception End_of_file -> None
+    in
+    let kb = find () in
+    close_in ic;
+    kb
+
+let test_rss_flat_in_runs () =
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  let runs k =
+    for _ = 1 to k do
+      ignore (run_par c)
+    done
+  in
+  let n = 25 in
+  runs n;
+  match vm_hwm_kb () with
+  | None -> ()
+  | Some h1 ->
+    runs (4 * n);
+    let h2 = Option.get (vm_hwm_kb ()) in
+    Alcotest.(check bool)
+      (Printf.sprintf "VmHWM %d kB after %d runs, %d kB after %d more" h1 n
+         h2 (4 * n))
+      true
+      (h2 - h1 < 3 * 1024)
 
 (* --- oracle backend plumbing --------------------------------------------- *)
 
@@ -645,6 +815,14 @@ let () =
             test_events_on_bit_identical_with_report;
           Alcotest.test_case "off: no tracks" `Quick
             test_events_off_leaves_no_tracks ] );
+      ( "lanes",
+        [ Alcotest.test_case "reused across runs, retired when idle" `Quick
+            test_lanes_reused_across_runs;
+          Alcotest.test_case "failed run leaves crew usable" `Quick
+            test_failed_run_leaves_crew_usable;
+          Alcotest.test_case "concurrent runs" `Quick test_concurrent_runs;
+          Alcotest.test_case "resident set flat in runs" `Quick
+            test_rss_flat_in_runs ] );
       ( "oracle",
         [ Alcotest.test_case "parallel backend" `Quick
             test_oracle_parallel_backend ] ) ]
