@@ -380,14 +380,6 @@ let parse_tile_list = function
        Printf.eprintf "bad tile list %S (expected N,N,...)\n" s;
        exit 1)
 
-let spec_of_lists ~depth ~block ~mem ~thread =
-  let get a j =
-    if j < Array.length a && a.(j) > 0 then Some a.(j) else None
-  in
-  Array.init depth (fun j ->
-    { Emsc_transform.Tile.block = get block j; mem = get mem j;
-      thread = get thread j })
-
 let tile_list name doc =
   Arg.(value & opt (some string) None & info [ name ] ~docv:"N,N,..." ~doc)
 
@@ -446,7 +438,10 @@ let run_cmd =
       end;
       (match p.Prog.stmts with
        | [ s ] ->
-         let spec = spec_of_lists ~depth:s.Prog.depth ~block ~mem ~thread in
+         let spec =
+           Emsc_transform.Tile.spec_of_lists ~depth:s.Prog.depth ~block ~mem
+             ~thread
+         in
          let options =
            { Options.default with
              Options.find_band = false; tiling = Options.Spec spec;
@@ -692,7 +687,9 @@ let profile_cmd =
         match p.Prog.stmts with
         | [ s ] ->
           let spec =
-            if tiled then spec_of_lists ~depth:s.Prog.depth ~block ~mem ~thread
+            if tiled then
+              Emsc_transform.Tile.spec_of_lists ~depth:s.Prog.depth ~block
+                ~mem ~thread
             else default_runtime_spec ~depth:s.Prog.depth
           in
           gpu_profile ~cache ~name:file ~prog:p ~hier ~arch ~merge ~delta

@@ -74,11 +74,6 @@ let ceil q = Zint.cdiv q.num q.den
 
 let to_float q = Zint.to_float q.num /. Zint.to_float q.den
 
-let of_float_approx f =
-  let scale = 1_000_000_000 in
-  make (Zint.of_int (int_of_float (Float.round (f *. float_of_int scale))))
-    (Zint.of_int scale)
-
 let to_string q =
   if is_integer q then Zint.to_string q.num
   else Zint.to_string q.num ^ "/" ^ Zint.to_string q.den

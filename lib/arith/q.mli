@@ -42,9 +42,6 @@ val floor : t -> Zint.t
 val ceil : t -> Zint.t
 
 val to_float : t -> float
-val of_float_approx : float -> t
-(** Nearest rational with denominator up to 10^9; used only for
-    reporting, never inside exact algorithms. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -91,9 +91,6 @@ let mul x y =
     end
   | _ -> big2 Limbs.mul x y
 
-let mul_int x n = mul x (S n)
-let add_int x n = add x (S n)
-
 (* [min_int / -1] is the one small quotient that leaves the range *)
 let small_div a b = b <> 0 && not (a = min_int && b = -1)
 

@@ -53,8 +53,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 val divmod : t -> t -> t * t
 (** Truncated division: quotient rounds toward zero, remainder has the

@@ -71,26 +71,6 @@ let quantity name predicted measured =
   { q_name = name; q_predicted = predicted; q_measured = measured;
     q_rel_err = rel_err ~predicted ~measured }
 
-(* valuation for the plan's program: original parameters from
-   [param_env], tile origins at the lower bound of the origin context —
-   the same convention the invariant checker and the fuzzer use *)
-let plan_env (c : Pipeline.compiled) param_env =
-  match c.Pipeline.tiled with
-  | None -> param_env
-  | Some t ->
-    let tp = t.Pipeline.tiled_prog in
-    let ctx = t.Pipeline.context in
-    let tbl = Hashtbl.create 8 in
-    Array.iteri (fun k name ->
-      match Poly.var_bounds_int ctx k with
-      | Some lb, _ -> Hashtbl.replace tbl name lb
-      | None, _ -> ())
-      tp.Prog.params;
-    fun name ->
-      match Hashtbl.find_opt tbl name with
-      | Some v -> v
-      | None -> param_env name
-
 (* ------------------------------------------------------------------ *)
 (* Predicted side                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -198,26 +178,11 @@ let predict_full_movement c plan env (b : Plan.buffered) kind =
     | Some occ, Some v -> Some (occ *. v)
     | _ -> None
 
-(* data spaces live in (params ++ array dims); fix the leading
-   parameter dimensions under a valuation — same convention as the
-   invariant checker *)
-let instantiate_union prog ~env us =
-  let np = Prog.nparams prog in
-  let values = Array.map env prog.Prog.params in
-  let fix_piece p =
-    let p = ref p in
-    for k = 0 to np - 1 do
-      p := Poly.fix_dim !p 0 values.(k)
-    done;
-    !p
-  in
-  Uset.of_pieces ~dim:(Uset.dim us - np) (List.map fix_piece (Uset.pieces us))
-
 (* exact point count of a plan data set with the reuse origin pinned at
    a chosen block and every other origin at the valuation *)
 let count_at prog ~env ~origin ~origin_at us =
   let env' name = if name = origin then origin_at else env name in
-  match Count.count_uset (instantiate_union prog ~env:env' us) with
+  match Count.count_uset (Dataspaces.instantiate_union prog ~env:env' us) with
   | Count.Exact n -> Some (Zint.to_float n)
   | Count.More_than _ | Count.Unbounded -> None
   | exception _ -> None
@@ -291,55 +256,6 @@ let predict_buffer_shift c plan env (b : Plan.buffered) =
     | Some (blocks, chains), Some rv -> Some ((blocks -. chains) *. rv)
     | _ -> None)
   | _ -> Some 0.0
-
-(* ------------------------------------------------------------------ *)
-(* Measured side                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* replay one statement instance with its iterators bound as (trivial)
-   loop variables — the differential oracle's untiled execution model *)
-let instance_call ((s : Prog.stmt), iters) =
-  let call =
-    Emsc_codegen.Ast.Stmt_call
-      { stmt_id = s.Prog.id;
-        iter_args =
-          Array.map (fun nm -> Emsc_codegen.Ast.Var nm) s.Prog.iter_names }
-  in
-  let rec wrap d body =
-    if d < 0 then body
-    else
-      wrap (d - 1)
-        [ Emsc_codegen.Ast.Loop
-            { Emsc_codegen.Ast.var = s.Prog.iter_names.(d);
-              lb = Emsc_codegen.Ast.Const iters.(d);
-              ub = Emsc_codegen.Ast.Const iters.(d);
-              step = Zint.one;
-              par = Emsc_codegen.Ast.Seq;
-              body } ]
-  in
-  wrap (s.Prog.depth - 1) [ call ]
-
-let run_measured ~param_env (c : Pipeline.compiled) (plan : Plan.t) =
-  match c.Pipeline.tiled with
-  | Some _ ->
-    Runner.simulate ~mode:Exec.Full ~memory:Runner.Zeroed ~param_env c
-  | None ->
-    let prog = c.Pipeline.prog in
-    let calls =
-      List.concat_map instance_call (Reference.instances prog ~param_env)
-    in
-    let staging = c.Pipeline.options.Options.stage_data in
-    let harness, locals, local_ref =
-      if staging then
-        ( Plan.all_move_in plan @ calls @ Plan.all_move_out plan,
-          List.map (fun (b : Plan.buffered) -> b.Plan.buffer.Alloc.local_name)
-            plan.Plan.buffered,
-          if plan.Plan.buffered <> [] then Some (Plan.local_ref plan)
-          else None )
-      else (calls, [], None)
-    in
-    Runner.execute ~prog ?local_ref ~locals ~mode:Exec.Full
-      ~memory:Runner.Zeroed ~param_env harness
 
 (* ------------------------------------------------------------------ *)
 (* The audit                                                           *)
@@ -496,7 +412,10 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
         Fun.protect
           ~finally:(fun () -> if not was_on then Metrics.disable ())
           (fun () ->
-            let mem, res = run_measured ~param_env c plan in
+            let mem, res =
+              Runner.simulate ~mode:Exec.Full ~memory:Runner.Zeroed
+                ~param_env c
+            in
             Ok (mem, res, Metrics.diff snap0 (Metrics.snapshot ())))
       with
       | Failure msg -> Error ("execution failed: " ^ msg)
@@ -506,7 +425,7 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
     (match measured with
      | Error e -> Failed e
      | Ok (mem, res, m) ->
-       let env = plan_env c param_env in
+       let env = Runner.plan_env c param_env in
        let groups =
          if staging then
            List.map (audit_group c plan env m mem) plan.Plan.buffered

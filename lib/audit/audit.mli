@@ -30,6 +30,11 @@ type quantity = {
           over-prediction (expected for upper bounds) *)
 }
 
+val quantity : string -> float -> float -> quantity
+(** [quantity name predicted measured], with its relative error. *)
+
+val quantity_json : quantity -> Emsc_obs.Json.t
+
 type group = {
   g_buffer : string;  (** local buffer name *)
   g_array : string;   (** original array the partition belongs to *)

@@ -18,11 +18,6 @@ type t = {
    5% absorbs rounding without masking a broken union sweep *)
 let default_tolerance = 0.05
 
-let quantity name predicted measured =
-  { Audit.q_name = name; q_predicted = predicted; q_measured = measured;
-    q_rel_err =
-      (predicted -. measured) /. Float.max 1.0 (Float.abs measured) }
-
 let audit ?(tolerance = default_tolerance) ~double_buffer ?model
     (r : R.t) =
   let dma = r.R.dma_busy_s and compute = r.R.compute_busy_s in
@@ -30,7 +25,7 @@ let audit ?(tolerance = default_tolerance) ~double_buffer ?model
     if dma > 0.0 then Float.min 1.0 (compute /. dma) else 1.0
   in
   let achieved = r.R.overlap_fraction in
-  let quantities = ref [ quantity "overlap_fraction" bound achieved ] in
+  let quantities = ref [ Audit.quantity "overlap_fraction" bound achieved ] in
   let notes = ref [] in
   (match model with
    | Some (b : Timing.breakdown) when b.Timing.t_comp > 0.0 ->
@@ -39,7 +34,7 @@ let audit ?(tolerance = default_tolerance) ~double_buffer ?model
        if compute > 0.0 then dma /. compute else 0.0
      in
      quantities :=
-       quantity "dma_to_compute_ratio" predicted_ratio measured_ratio
+       Audit.quantity "dma_to_compute_ratio" predicted_ratio measured_ratio
        :: !quantities;
      notes :=
        "dma_to_compute_ratio compares model cycles against interpreter \
@@ -74,13 +69,6 @@ let audit ?(tolerance = default_tolerance) ~double_buffer ?model
 
 let ok t = t.o_verdict <> Audit.Fail
 
-let quantity_json (q : Audit.quantity) =
-  J.Obj
-    [ ("name", J.Str q.Audit.q_name);
-      ("predicted", J.Float q.Audit.q_predicted);
-      ("measured", J.Float q.Audit.q_measured);
-      ("rel_err", J.Float q.Audit.q_rel_err) ]
-
 let json t =
   J.Obj
     [ ("schema", J.Str "emsc-overlap-audit/1");
@@ -91,7 +79,7 @@ let json t =
       ("achieved", J.Float t.o_achieved);
       ("dma_busy_ms", J.Float (t.o_dma_busy_s *. 1e3));
       ("compute_busy_ms", J.Float (t.o_compute_busy_s *. 1e3));
-      ("quantities", J.List (List.map quantity_json t.o_quantities));
+      ("quantities", J.List (List.map Audit.quantity_json t.o_quantities));
       ("notes", J.List (List.map (fun s -> J.Str s) t.o_notes)) ]
 
 let pp fmt t =

@@ -1,4 +1,3 @@
-open Emsc_poly
 open Emsc_ir
 open Emsc_transform
 open Emsc_driver
@@ -75,26 +74,6 @@ let settings_for ~inter_tile (spec : Gen.t) =
        else [])
   | _ -> untiled_settings
 
-(* valuation for the plan's program: original parameters from
-   [param_env], tile origins at the lower bound of the origin context
-   (a point the movement code's omitted guards are valid at) *)
-let invariant_env (c : Pipeline.compiled) param_env =
-  match c.Pipeline.tiled with
-  | None -> param_env
-  | Some t ->
-    let tp = t.Pipeline.tiled_prog in
-    let ctx = t.Pipeline.context in
-    let tbl = Hashtbl.create 8 in
-    Array.iteri (fun k name ->
-      match Poly.var_bounds_int ctx k with
-      | Some lb, _ -> Hashtbl.replace tbl name lb
-      | None, _ -> ())
-      tp.Prog.params;
-    fun name ->
-      match Hashtbl.find_opt tbl name with
-      | Some v -> v
-      | None -> param_env name
-
 let violations_str vs =
   String.concat "; "
     (List.map (Format.asprintf "%a" Invariants.pp_violation) vs)
@@ -107,7 +86,7 @@ let check_plan ~backend ~capacity_words ~hierarchy ~param_env ~(options : Option
     (match c.Pipeline.plan with
      | None -> Ok ()  (* unreachable: the oracle already required a plan *)
      | Some plan ->
-       let env = invariant_env c param_env in
+       let env = Runner.plan_env c param_env in
        (match
           Invariants.check ~capacity_words ?hierarchy
             ~optimized_movement:options.Options.optimize_movement ~env plan

@@ -54,22 +54,6 @@ let collect_copies ~env stms =
   List.iter go stms;
   List.rev !copies
 
-(* data spaces live in (params ++ array dims); fix the leading
-   parameter dimensions under the valuation *)
-let instantiate_union prog ~env us =
-  let np = Prog.nparams prog in
-  let values = Array.map env prog.Prog.params in
-  let fix_piece p =
-    let p = ref p in
-    for k = 0 to np - 1 do
-      (* parameters are the leading dims; each fix shifts the rest down,
-         so the next parameter is again dimension 0 *)
-      p := Poly.fix_dim !p 0 values.(k)
-    done;
-    !p
-  in
-  Uset.of_pieces ~dim:(Uset.dim us - np) (List.map fix_piece (Uset.pieces us))
-
 let point_of idx = Vec.of_ints (Array.to_list idx)
 
 let idx_str idx =
@@ -227,9 +211,9 @@ let check ?capacity_words ?hierarchy ?(double_buffer = false)
           globals;
         seen
       in
-      let reads = instantiate_union prog ~env
+      let reads = Dataspaces.instantiate_union prog ~env
           (Dataspaces.reads_union prog buf.Alloc.partition)
-      and writes = instantiate_union prog ~env
+      and writes = Dataspaces.instantiate_union prog ~env
           (Dataspaces.writes_union prog buf.Alloc.partition)
       in
       (* inter-tile reuse: the delta/resident split must partition the
@@ -262,7 +246,7 @@ let check ?capacity_words ?hierarchy ?(double_buffer = false)
             report ~invariant:"reuse-partition"
               "delta move-out leaves the write footprint";
           if r.Plan.r_lb <> r.Plan.r_last then
-            Some (instantiate_union prog ~env r.Plan.r_delta_out)
+            Some (Dataspaces.instantiate_union prog ~env r.Plan.r_delta_out)
           else None
       in
       let in_globals = List.map (split ~dir:`In) move_in in

@@ -1,7 +1,4 @@
-open Emsc_arith
 open Emsc_ir
-open Emsc_core
-open Emsc_codegen
 open Emsc_machine
 open Emsc_driver
 
@@ -39,55 +36,14 @@ let compare_memories (p : Prog.t) m_got m_ref =
   in
   go p.Prog.arrays
 
-(* replay one statement instance with its iterators bound as (trivial)
-   loop variables, so rewritten accesses — whose buffer indices are
-   expressions over the iterator names — evaluate correctly *)
-let instance_call ((s : Prog.stmt), iters) =
-  let call =
-    Ast.Stmt_call
-      { stmt_id = s.Prog.id;
-        iter_args = Array.map (fun nm -> Ast.Var nm) s.Prog.iter_names }
-  in
-  let rec wrap d body =
-    if d < 0 then body
-    else
-      wrap (d - 1)
-        [ Ast.Loop
-            { Ast.var = s.Prog.iter_names.(d);
-              lb = Ast.Const iters.(d);
-              ub = Ast.Const iters.(d);
-              step = Zint.one;
-              par = Ast.Seq;
-              body } ]
-  in
-  wrap (s.Prog.depth - 1) [ call ]
-
-let staged_untiled ~param_env (plan : Plan.t) (prog : Prog.t) =
-  let calls =
-    List.concat_map instance_call (Reference.instances prog ~param_env)
-  in
-  let harness = Plan.all_move_in plan @ calls @ Plan.all_move_out plan in
-  let locals =
-    List.map (fun (b : Plan.buffered) -> b.Plan.buffer.Alloc.local_name)
-      plan.Plan.buffered
-  in
-  let local_ref =
-    if plan.Plan.buffered <> [] then Some (Plan.local_ref plan) else None
-  in
-  let m_got, _ =
-    Runner.execute ~prog ?local_ref ~locals ~mode:Exec.Full
-      ~memory:Runner.Pseudorandom ~param_env harness
-  in
-  m_got
-
 let totals_str (r : Exec.result) =
   Emsc_obs.Json.to_string (Exec.counters_json r.Exec.totals)
 
-(* tiled compilation under the requested backend; [`Par] additionally
+(* the compilation under the requested backend; [`Par] additionally
    requires the reduced counter totals to be bit-identical to a
    sequential [Full] replay (the write-ownership tracker is armed, so a
    cross-block race fails the run rather than silently matching) *)
-let run_tiled ~backend ~param_env (c : Pipeline.compiled) =
+let run ~backend ~param_env (c : Pipeline.compiled) =
   match backend with
   | `Seq ->
     let m, _ =
@@ -114,12 +70,12 @@ let run_tiled ~backend ~param_env (c : Pipeline.compiled) =
 let check_compiled ?(backend = `Seq) ~param_env (c : Pipeline.compiled) =
   match c.Pipeline.plan with
   | None -> Error "pipeline produced no plan"
-  | Some plan ->
+  | Some _ ->
     (try
        let m_got =
          match c.Pipeline.tiled with
-         | Some _ -> run_tiled ~backend ~param_env c
-         | None -> Ok (staged_untiled ~param_env plan c.Pipeline.prog)
+         | Some _ -> run ~backend ~param_env c
+         | None -> run ~backend:`Seq ~param_env c  (* no blocks to schedule *)
        in
        match m_got with
        | Error _ as e -> e

@@ -8,9 +8,9 @@
     the same pseudorandom memory image ({!Emsc_driver.Runner}'s
     deterministic initializer).
 
-    Two harnesses:
+    Both harnesses are {!Emsc_driver.Runner.simulate} in [Full] mode:
     - compilations with a generated kernel ([tiled <> None]) run the
-      tiled AST through the machine simulator in [Full] mode;
+      tiled AST;
     - untiled compilations replay the reference instance stream (exact
       schedule order) with accesses rewritten into the plan's buffers,
       bracketed by the plan's move-in and move-out code — this

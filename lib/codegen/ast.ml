@@ -241,18 +241,6 @@ let vec_to_aexpr ~names (row : Emsc_linalg.Vec.t) =
 let loop_ ?(par = Seq) ?(step = 1) v ~lb ~ub body =
   Loop { var = v; lb; ub; step = Zint.of_int step; par; body }
 
-let rec map_stm f stms =
-  List.map
-    (fun s ->
-      let s' =
-        match s with
-        | Loop l -> Loop { l with body = map_stm f l.body }
-        | Guard (c, body) -> Guard (c, map_stm f body)
-        | Stmt_call _ | Copy _ | Sync | Fence | Comment _ -> s
-      in
-      match f s' with Some s'' -> s'' | None -> s')
-    stms
-
 module Sset = Set.Make (String)
 
 let rec aexpr_vars acc = function

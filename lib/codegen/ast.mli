@@ -71,15 +71,10 @@ val vec_to_aexpr : names:(int -> string) -> Emsc_linalg.Vec.t -> aexpr
 val loop_ : ?par:parallelism -> ?step:int -> string -> lb:aexpr -> ub:aexpr ->
   stm list -> stm
 
-val map_stm : (stm -> stm option) -> stm list -> stm list
-(** Bottom-up rewriting: the function sees each node after its children
-    were rewritten; [None] keeps the node. *)
-
 val free_vars : stm list -> string list
 (** Variables read by the block that no loop inside it binds (sorted,
     unique) — used to decide how deep data-movement code can be
     hoisted (Section 4.2). *)
 
 val pp_aexpr : Format.formatter -> aexpr -> unit
-val pp_stm : Format.formatter -> stm -> unit
 val pp_block : Format.formatter -> stm list -> unit

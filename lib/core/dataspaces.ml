@@ -167,3 +167,17 @@ let exact_image (s : Prog.stmt) (a : Prog.access) =
     done;
     !remaining = []
   end
+
+(* parameters are the leading dims; each fix shifts the rest down, so
+   the next parameter is again dimension 0 *)
+let instantiate_union prog ~env us =
+  let np = Prog.nparams prog in
+  let values = Array.map env prog.Prog.params in
+  let fix_piece p =
+    let p = ref p in
+    for k = 0 to np - 1 do
+      p := Poly.fix_dim !p 0 values.(k)
+    done;
+    !p
+  in
+  Uset.of_pieces ~dim:(Uset.dim us - np) (List.map fix_piece (Uset.pieces us))

@@ -47,6 +47,11 @@ val reads_union : Prog.t -> partition -> Uset.t
 
 val writes_union : Prog.t -> partition -> Uset.t
 
+val instantiate_union :
+  Prog.t -> env:(string -> Emsc_arith.Zint.t) -> Uset.t -> Uset.t
+(** Fix the leading parameter dimensions of a data-space union to their
+    values under [env]: the result lives in the array dimensions only. *)
+
 val exact_image : Prog.stmt -> Prog.access -> bool
 (** Is the access's data space (a rational image of the iteration
     domain) guaranteed to contain no integer point the access never

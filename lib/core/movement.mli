@@ -13,9 +13,6 @@ open Emsc_poly
 open Emsc_ir
 open Emsc_codegen
 
-val data_dim_names : prefix:string -> int -> string array
-(** Fresh iterator names for the copy loops over array dimensions. *)
-
 val copy_code :
   ?context:Poly.t -> Prog.t -> Alloc.buffer -> dir:[ `In | `Out ] ->
   data:Uset.t -> Ast.stm list

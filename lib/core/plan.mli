@@ -129,8 +129,6 @@ val explain : ?param_env:(string -> Zint.t) -> t -> verdict list
 (** One verdict per partition, buffered partitions first.
     [param_env] (default: everything 0) evaluates buffer footprints. *)
 
-val verdict_json : verdict -> Emsc_obs.Json.t
-
 val explain_json :
   ?capacity_words:int -> ?param_env:(string -> Zint.t) -> t -> Emsc_obs.Json.t
 (** Full plan report: program summary, per-partition verdicts, and

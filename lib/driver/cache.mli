@@ -40,10 +40,6 @@ val create : ?dir:string -> ?max_entries:int -> unit -> t
     {!default_dir}; [max_entries] caps the memory layer only — the
     disk layer is never evicted. *)
 
-val default_dir : unit -> string
-(** [$EMSC_CACHE_DIR], else [$XDG_CACHE_HOME/emsc], else
-    [~/.cache/emsc], else a directory under the system temp dir. *)
-
 val enabled : t -> bool
 val dir : t -> string option
 val max_entries : t -> int option

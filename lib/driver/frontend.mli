@@ -15,19 +15,7 @@ type error = {
 val error_message : error -> string
 val pp_error : Format.formatter -> error -> unit
 
-val read_file : string -> (string, error) result
-(** Reads the whole file; the channel is closed even when reading
-    raises ([Fun.protect]), so the descriptor never leaks. *)
-
 val parse : name:string -> string -> (Emsc_ir.Prog.t, error) result
-
-val digest_text : string -> string
-(** Hex content digest of source text (cache key material). *)
-
-val digest_prog : Emsc_ir.Prog.t -> string
-(** Hex digest of the canonical (unshared) marshalled form of an IR
-    program, so programmatically-built kernels are content-addressed
-    exactly like textual sources. *)
 
 val load : Source.t -> (Emsc_ir.Prog.t * string, error) result
 (** Program plus its content digest. *)

@@ -225,9 +225,17 @@ let compile_many ?(cache = Cache.off) ?jobs
     let children =
       Array.to_list spans
       |> List.filter (fun idxs -> idxs <> [])
-      |> List.map (fun idxs ->
+      |> List.filter_map (fun idxs ->
            let r, w = Unix.pipe () in
            match Unix.fork () with
+           | exception Failure _ ->
+             (* OCaml refuses to fork while another domain runs (say,
+                the runtime's lingering lanes): this worker's share
+                compiles in-process *)
+             Unix.close r;
+             Unix.close w;
+             List.iter (fun i -> slots.(i) <- Some (guarded i)) idxs;
+             None
            | 0 ->
              (* child: compute, marshal each result as soon as it
                 exists, vanish without running the parent's at_exit
@@ -244,7 +252,7 @@ let compile_many ?(cache = Cache.off) ?jobs
               with _ -> Unix._exit 1)
            | pid ->
              Unix.close w;
-             (pid, r, idxs))
+             Some (pid, r, idxs))
     in
     List.iter
       (fun (pid, r, idxs) ->

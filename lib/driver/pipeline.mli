@@ -65,7 +65,9 @@ val compile_many :
   (compiled, Frontend.error) result list
 (** Compiles independent jobs in parallel forked workers ([jobs]
     defaults to {!default_jobs}; values [<= 1], singleton batches, and
-    Windows fall back to in-process sequential compilation).  Results
+    Windows fall back to in-process sequential compilation, and so does
+    a worker's share of the jobs when OCaml refuses to fork because
+    another domain is running).  Results
     are in input order regardless of completion order.
 
     Failures never collapse: a job whose compile raises comes back as

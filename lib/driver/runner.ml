@@ -14,11 +14,6 @@ let no_params name = failwith ("unbound parameter " ^ name)
 
 let zero_env _ = Zint.zero
 
-let env_of_params params name =
-  match List.assoc_opt name params with
-  | Some v -> Zint.of_int v
-  | None -> failwith ("parameter " ^ name ^ " needs a value")
-
 let pseudorandom_fill m (p : Prog.t) =
   List.iter
     (fun (d : Prog.array_decl) ->
@@ -85,11 +80,58 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
   in
   (m, result)
 
+(* valuation for the plan's program: original parameters from
+   [param_env], tile origins at the lower bound of the origin context
+   (a point the movement code's omitted guards are valid at) *)
+let plan_env (c : Pipeline.compiled) param_env =
+  match c.Pipeline.tiled with
+  | None -> param_env
+  | Some t ->
+    let tp = t.Pipeline.tiled_prog in
+    let ctx = t.Pipeline.context in
+    let tbl = Hashtbl.create 8 in
+    Array.iteri (fun k name ->
+      match Emsc_poly.Poly.var_bounds_int ctx k with
+      | Some lb, _ -> Hashtbl.replace tbl name lb
+      | None, _ -> ())
+      tp.Prog.params;
+    fun name ->
+      match Hashtbl.find_opt tbl name with
+      | Some v -> v
+      | None -> param_env name
+
+(* replay one statement instance with its iterators bound as (trivial)
+   loop variables, so rewritten accesses — whose buffer indices are
+   expressions over the iterator names — evaluate correctly *)
+let instance_call ((s : Prog.stmt), iters) =
+  let module Ast = Emsc_codegen.Ast in
+  let call =
+    Ast.Stmt_call
+      { stmt_id = s.Prog.id;
+        iter_args = Array.map (fun nm -> Ast.Var nm) s.Prog.iter_names }
+  in
+  let rec wrap d body =
+    if d < 0 then body
+    else
+      wrap (d - 1)
+        [ Ast.Loop
+            { Ast.var = s.Prog.iter_names.(d);
+              lb = Ast.Const iters.(d);
+              ub = Ast.Const iters.(d);
+              step = Zint.one;
+              par = Ast.Seq;
+              body } ]
+  in
+  wrap (s.Prog.depth - 1) [ call ]
+
 let simulate ?(mode = Exec.Sampled 6) ?(memory = Phantom) ?param_env
     ?on_global ?(backend = `Seq) ?(double_buffer = false)
     ?track_ownership ?hierarchy (c : Pipeline.compiled) =
-  match (c.Pipeline.tiled, c.Pipeline.plan) with
-  | Some t, Some plan ->
+  match c.Pipeline.plan with
+  | None ->
+    invalid_arg
+      "Emsc_driver.Runner.simulate: compilation stopped before the plan"
+  | Some plan ->
     let staged = c.Pipeline.options.Options.stage_data in
     let locals =
       if staged then
@@ -102,32 +144,49 @@ let simulate ?(mode = Exec.Sampled 6) ?(memory = Phantom) ?param_env
       if staged && plan.Plan.buffered <> [] then Some (Plan.local_ref plan)
       else None
     in
-    let block_words =
-      match backend with
-      | `Seq -> 0
-      | `Par _ -> (
-        let env = match param_env with Some e -> e | None -> no_params in
-        match Zint.to_int_exn (Plan.total_footprint plan env) with
-        | words -> max 0 words
-        | exception _ -> 0)
-    in
-    let mode = match backend with `Seq -> mode | `Par _ -> Exec.Full in
-    (* chain-aware scheduling is needed exactly when the generated
-       movement carries delta guards — i.e. some buffer planned with
-       inter-tile reuse *)
-    let inter_tile_reuse =
-      staged
-      && List.exists
-           (fun (b : Plan.buffered) -> b.Plan.reuse <> None)
-           plan.Plan.buffered
-    in
-    execute ~prog:t.Pipeline.tiled_prog ?local_ref ~locals ~mode ~memory
-      ?param_env ?on_global ~backend ~double_buffer ?track_ownership
-      ~block_words ~inter_tile_reuse ?hierarchy t.Pipeline.ast
-  | _ ->
-    invalid_arg
-      "Emsc_driver.Runner.simulate: compilation has no generated kernel \
-       (compile with tiling)"
+    (match (c.Pipeline.tiled, backend) with
+     | Some t, _ ->
+       let block_words =
+         match backend with
+         | `Seq -> 0
+         | `Par _ -> (
+           let env = match param_env with Some e -> e | None -> no_params in
+           match Zint.to_int_exn (Plan.total_footprint plan env) with
+           | words -> max 0 words
+           | exception _ -> 0)
+       in
+       let mode = match backend with `Seq -> mode | `Par _ -> Exec.Full in
+       (* chain-aware scheduling is needed exactly when the generated
+          movement carries delta guards — i.e. some buffer planned with
+          inter-tile reuse *)
+       let inter_tile_reuse =
+         staged
+         && List.exists
+              (fun (b : Plan.buffered) -> b.Plan.reuse <> None)
+              plan.Plan.buffered
+       in
+       execute ~prog:t.Pipeline.tiled_prog ?local_ref ~locals ~mode ~memory
+         ?param_env ?on_global ~backend ~double_buffer ?track_ownership
+         ~block_words ~inter_tile_reuse ?hierarchy t.Pipeline.ast
+     | None, `Par _ ->
+       invalid_arg
+         "Emsc_driver.Runner.simulate: the parallel backend needs a \
+          generated kernel (compile with tiling)"
+     | None, `Seq ->
+       (* untiled: every instance in schedule order, bracketed by the
+          plan's move-in and move-out code when the compile staged data *)
+       let prog = c.Pipeline.prog in
+       let calls =
+         List.concat_map instance_call
+           (Reference.instances prog
+              ~param_env:(Option.value param_env ~default:no_params))
+       in
+       let harness =
+         if staged then Plan.all_move_in plan @ calls @ Plan.all_move_out plan
+         else calls
+       in
+       execute ~prog ?local_ref ~locals ~mode ~memory ?param_env ?on_global
+         harness)
 
 (* Record runtime events around [f] and analyze them.  Draining is
    non-destructive, so a later [Events.write_merged_chrome] still sees

@@ -1,8 +1,7 @@
 (** Execution back end of the pipeline: the memory-setup /
     local-buffer / executor glue every consumer used to hand-roll.
 
-    {!simulate} runs a compiled (tiled) kernel on the simulated
-    machine; {!reference} runs the original program on the exact
+    {!simulate} runs a compiled kernel on the simulated machine; {!reference} runs the original program on the exact
     reference interpreter; {!execute} is the generic form for kernels
     produced outside the plan pipeline (e.g. the overlapped stencil
     tiler). *)
@@ -25,8 +24,11 @@ val no_params : string -> Zint.t
 
 val zero_env : string -> Zint.t
 
-val env_of_params : (string * int) list -> string -> Zint.t
-(** Raises [Failure "parameter <p> needs a value"] on unbound names. *)
+val plan_env : Pipeline.compiled -> (string -> Zint.t) -> string -> Zint.t
+(** Valuation for the plan's program: original parameters from the
+    given env, tile origins at the lower bound of the origin context (a
+    point the movement code's omitted guards are valid at).  Untiled
+    compilations get the env unchanged. *)
 
 val prepare :
   ?memory:memory_kind -> param_env:(string -> Zint.t) -> Prog.t -> Memory.t
@@ -82,11 +84,15 @@ val simulate :
 (** Run a compiled kernel: the tiled AST against the tiled program,
     with the plan's buffers declared and accesses redirected when the
     compilation staged data (its options had [stage_data], the
-    default).  Defaults: [Phantom] memory, [Sampled 6], [`Seq].  With
-    [`Par], the mode is forced to [Full] and the per-block arena size
-    is derived from the plan's total footprint.
-    @raise Invalid_argument if the compilation has no generated kernel
-    (untiled, or stopped early). *)
+    default).  An untiled compilation runs every instance of the
+    original program in schedule order (one trivial loop nest per
+    instance), bracketed by the plan's move-in and move-out code when
+    it staged data.  Defaults: [Phantom] memory, [Sampled 6], [`Seq].
+    With [`Par], the mode is forced to [Full] and the per-block arena
+    size is derived from the plan's total footprint.
+    @raise Invalid_argument if the compilation stopped before the
+    plan, or on [`Par] for an untiled compilation (it has no block
+    band to schedule). *)
 
 val with_runtime_report :
   ?capacity:int ->

@@ -64,7 +64,3 @@ let array2 name n0 n1 ~np =
 
 let array1 name n0 ~np =
   { Prog.array_name = name; rank = 1; extents = [| const_extent ~np n0 |] }
-
-let array_p name rows =
-  { Prog.array_name = name; rank = List.length rows;
-    extents = Array.of_list (List.map Vec.of_ints rows) }

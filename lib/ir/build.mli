@@ -28,7 +28,3 @@ val array2 : string -> int -> int -> np:int -> Prog.array_decl
 (** Rank-2 array with constant extents. *)
 
 val array1 : string -> int -> np:int -> Prog.array_decl
-
-val array_p : string -> int list list -> Prog.array_decl
-(** Array whose extents are affine rows over the parameters
-    (width np+1 each). *)

@@ -69,8 +69,6 @@ let all_accesses_to p name =
 
 let mk_access ~array ~kind ~rows = { array; kind; map = Mat.of_ints rows }
 
-let stmt_param_start s = s.depth
-
 let rec expr_accesses = function
   | Eref a -> [ a ]
   | Eiter _ | Eparam _ | Econst _ -> []

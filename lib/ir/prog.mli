@@ -85,9 +85,4 @@ val pad_schedules : t -> t
 (** Pad every schedule with zero rows up to the maximum, so
     lexicographic comparison is well-defined across statements. *)
 
-val stmt_param_start : stmt -> int
-(** Column index where parameter coefficients start (= depth). *)
-
-val pp_access : Format.formatter -> access -> unit
-val pp_stmt : t -> Format.formatter -> stmt -> unit
 val pp : Format.formatter -> t -> unit

@@ -420,10 +420,3 @@ let parse src =
   match Prog.validate prog with
   | Ok () -> prog
   | Error e -> raise (Error ("inconsistent program: " ^ e))
-
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse src

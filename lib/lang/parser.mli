@@ -28,5 +28,3 @@ exception Error of string
 
 val parse : string -> Emsc_ir.Prog.t
 (** @raise Error *)
-
-val parse_file : string -> Emsc_ir.Prog.t

@@ -32,7 +32,6 @@ let equal a b =
   rows a = rows b && cols a = cols b && Array.for_all2 Vec.equal a b
 
 let append_rows = Array.append
-let map_rows = Array.map
 
 (* Rational row echelon form; returns (echelon, pivot column list in
    order).  Works on a fresh Q copy. *)

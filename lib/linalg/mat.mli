@@ -22,7 +22,6 @@ val mul_vec : t -> Vec.t -> Vec.t
 val add : t -> t -> t
 val equal : t -> t -> bool
 val append_rows : t -> t -> t
-val map_rows : (Vec.t -> Vec.t) -> t -> t
 
 val rank : t -> int
 (** Rank over the rationals (fraction-free Bareiss elimination). *)
@@ -42,8 +41,5 @@ val hermite_normal_form : t -> t * t
 (** [hermite_normal_form m] is [(h, u)] with [h = u * m], [u]
     unimodular, and [h] in row-style Hermite normal form (pivots
     positive, entries above each pivot reduced, zero rows last). *)
-
-val row_echelon_q : t -> Q.t array array * int list
-(** Rational row echelon form together with the pivot-column list. *)
 
 val pp : Format.formatter -> t -> unit

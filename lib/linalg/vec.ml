@@ -22,7 +22,6 @@ let add = map2 Zint.add
 let sub = map2 Zint.sub
 let neg v = Array.map Zint.neg v
 let scale c v = Array.map (Zint.mul c) v
-let scale_int c v = scale (Zint.of_int c) v
 
 let combine a x b y =
   map2 (fun xi yi -> Zint.add (Zint.mul a xi) (Zint.mul b yi)) x y
@@ -62,7 +61,6 @@ let normalize v =
   else Array.map (fun x -> Zint.divexact x g) v
 
 let append = Array.append
-let sub_vec = Array.sub
 
 let insert v pos x =
   let n = Array.length v in

@@ -20,7 +20,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val scale : Zint.t -> t -> t
-val scale_int : int -> t -> t
 
 val combine : Zint.t -> t -> Zint.t -> t -> t
 (** [combine a x b y = a*x + b*y]. *)
@@ -37,8 +36,6 @@ val normalize : t -> t
 (** Divide by the content; identity on the zero vector. *)
 
 val append : t -> t -> t
-val sub_vec : t -> int -> int -> t
-(** [sub_vec v pos len]. *)
 
 val insert : t -> int -> Zint.t -> t
 (** [insert v pos x] returns a vector one longer with [x] at [pos]. *)

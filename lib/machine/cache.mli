@@ -11,10 +11,6 @@ type stats = {
 val create :
   size_bytes:int -> line_bytes:int -> assoc:int -> word_bytes:int -> t
 
-val of_level : Hierarchy.level -> t option
-(** A simulator for a level with cache geometry ([l_line_bytes] and
-    [l_assoc] present); [None] for scratchpad-only levels. *)
-
 val access : t -> int -> bool
 (** [access c word_addr] returns whether the access hit, updating LRU
     state. *)

@@ -105,7 +105,6 @@ val core2duo_cache_as_scratchpad : t
     scratchpads; line/assoc geometry drives [Cache.Sim]. *)
 
 val builtins : (string * t) list
-val find_builtin : string -> t option
 
 (** {2 JSON} *)
 

@@ -253,10 +253,6 @@ let fork_view m =
     m.locals;
   { globals = m.globals; locals }
 
-let local_names m =
-  Hashtbl.fold (fun name _ acc -> name :: acc) m.locals []
-  |> List.sort compare
-
 let clear_locals m =
   Hashtbl.iter (fun _ l ->
     if l.count > 0 then begin

@@ -75,9 +75,6 @@ val fork_view : t -> t
     views may touch disjoint global cells and their own locals without
     interference. *)
 
-val local_names : t -> string list
-(** Declared local buffer names, sorted. *)
-
 val clear_locals : t -> unit
 (** Drop every cell of every local buffer (declarations survive).
     Lets an arena view be recycled between blocks. *)

@@ -5,76 +5,9 @@ open Emsc_ir
 
 (* --- enumeration ---------------------------------------------------------- *)
 
-exception Unbounded_domain
-exception Int_empty
-
-(* Bound rows of [x_j] on the projection onto [x_0 .. x_j]: a lower
-   [(a, e)] means [a * x_j >= -e], an upper [a * x_j <= e], [e] over
-   [x_0 .. x_{j-1}] plus the constant at [e.(j + 1)] (see
-   {!Poly.dim_bound_pairs}). *)
-type level = {
-  lowers : (Zint.t * Vec.t) array;
-  uppers : (Zint.t * Vec.t) array;
-}
-
-(* Fourier–Motzkin levels of [p], built once by eliminating the
-   innermost dimension first.  The innermost level is [p]'s own rows,
-   so with every outer dimension fixed its bounds are exact. *)
-let levels p =
-  let n = Poly.dim p in
-  let lv = Array.make n { lowers = [||]; uppers = [||] } in
-  let cur = ref p in
-  for j = n - 1 downto 0 do
-    if Poly.is_trivially_empty !cur then raise Int_empty;
-    let lowers, uppers = Poly.dim_bound_pairs !cur j in
-    if lowers = [] || uppers = [] then raise Unbounded_domain;
-    lv.(j) <- { lowers = Array.of_list lowers; uppers = Array.of_list uppers };
-    if j > 0 then cur := Poly.eliminate_dim !cur j
-  done;
-  lv
-
-(* The integer points of [lv]'s polyhedron in lexicographic order:
-   each level's integer range at the current prefix, walked from its
-   ceiling lower to its floor upper bound. *)
-let walk lv =
-  let n = Array.length lv in
-  let x = Array.make n Zint.zero in
-  let acc = ref [] in
-  let eval j (e : Vec.t) =
-    let v = ref e.(j + 1) in
-    for i = 0 to j - 1 do
-      if not (Zint.is_zero e.(i)) then v := Zint.add !v (Zint.mul e.(i) x.(i))
-    done;
-    !v
-  in
-  let extreme pick bound rows =
-    Array.fold_left (fun m r -> pick m (bound r)) (bound rows.(0)) rows
-  in
-  let rec go j =
-    if j = n then acc := Array.copy x :: !acc
-    else begin
-      let { lowers; uppers } = lv.(j) in
-      let lo =
-        extreme Zint.max (fun (a, e) -> Zint.cdiv (Zint.neg (eval j e)) a) lowers
-      and hi = extreme Zint.min (fun (a, e) -> Zint.fdiv (eval j e) a) uppers in
-      let v = ref lo in
-      while Zint.compare !v hi <= 0 do
-        x.(j) <- !v;
-        go (j + 1);
-        v := Zint.add !v Zint.one
-      done
-    end
-  in
-  go 0;
-  List.rev !acc
-
-let rationally_unbounded p =
-  List.exists (fun i ->
-    match Poly.var_bounds p i with Some _, Some _ -> false | _ -> true)
-    (List.init (Poly.dim p) Fun.id)
-
 (* integer points of a statement domain with parameters fixed, in
-   lexicographic order: one emptiness LP, then arithmetic only *)
+   lexicographic order: the shared Fourier–Motzkin walk of {!Count}
+   hands each prefix's innermost range, enumerated here *)
 let domain_points (s : Prog.stmt) ~np ~param_values =
   (* fix the trailing parameter dims *)
   let fixed =
@@ -84,16 +17,19 @@ let domain_points (s : Prog.stmt) ~np ~param_values =
     in
     go 0 s.Prog.domain
   in
-  let unbounded () =
-    invalid_arg ("Reference: unbounded domain in " ^ s.Prog.name)
+  let n = s.Prog.depth in
+  let acc = ref [] in
+  let points x lo hi =
+    let v = ref lo in
+    while Zint.compare !v hi <= 0 do
+      if n > 0 then x.(n - 1) <- !v;
+      acc := Array.copy x :: !acc;
+      v := Zint.add !v Zint.one
+    done
   in
-  if Poly.is_empty fixed then []
-  else
-    match levels fixed with
-    | lv -> walk lv
-    | exception Unbounded_domain -> unbounded ()
-    | exception Int_empty ->
-      if rationally_unbounded fixed then unbounded () else []
+  match Count.iter_ranges fixed points with
+  | `Bounded -> List.rev !acc
+  | `Unbounded -> invalid_arg ("Reference: unbounded domain in " ^ s.Prog.name)
 
 let schedule_time (s : Prog.stmt) ~np ~param_values iters =
   Array.map (fun row ->

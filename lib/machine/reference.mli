@@ -12,8 +12,8 @@ val domain_points :
   Prog.stmt -> np:int -> param_values:Zint.t array -> Zint.t array list
 (** Integer points of the statement's domain with its [np] trailing
     parameter dimensions fixed to [param_values], in lexicographic
-    order.  One emptiness LP, then a walk over the domain's
-    Fourier–Motzkin levels.
+    order.  One emptiness LP, then {!Emsc_poly.Count.iter_ranges}'s
+    walk over the domain's Fourier–Motzkin levels.
     @raise Invalid_argument on an unbounded domain. *)
 
 val instances : Prog.t -> param_env:(string -> Zint.t) ->

@@ -78,10 +78,6 @@ val cache_total_ms :
 
 (** {2 Machine-readable profiles} *)
 
-val breakdown_json : breakdown -> Emsc_obs.Json.t
-val launch_json : Hierarchy.t -> gpu_params -> Exec.launch -> Emsc_obs.Json.t
-val params_json : gpu_params -> Emsc_obs.Json.t
-
 val profile_json : Hierarchy.t -> gpu_params -> Exec.result -> Emsc_obs.Json.t
 (** Per-launch counters and timing breakdowns plus run totals; the
     payload of [emsc profile]. *)

@@ -115,9 +115,6 @@ type pass = {
 val passes : profile -> pass list
 (** Aggregated by leaf label, sorted by self time (descending). *)
 
-val top_self : ?k:int -> profile -> pass list
-(** First [k] (default 15) of [passes]. *)
-
 (** {2 Export} *)
 
 val collapsed : profile -> string

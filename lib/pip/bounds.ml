@@ -7,33 +7,15 @@ type level = {
   uppers : (Zint.t * Vec.t) list;
 }
 
-(* Zero out the j-th coefficient and truncate to width j+2 (columns for
-   x_0..x_j plus the constant). *)
-let truncate_expr j (row : Vec.t) =
-  let n = Array.length row - 1 in
-  let e = Array.make (j + 2) Zint.zero in
-  Array.blit row 0 e 0 j;
-  e.(j) <- Zint.zero;
-  e.(j + 1) <- row.(n);
-  e
-
 let loop_bounds p =
   let dim = Poly.dim p in
   let levels = Array.make dim { lowers = []; uppers = [] } in
   let cur = ref (Poly.remove_redundant p) in
   for j = dim - 1 downto 0 do
+    (* [!cur] has dimension [j + 1], so each bound row already has width
+       [j + 2] with its [x_j] entry zero *)
     let lowers, uppers = Poly.dim_bound_pairs !cur j in
-    (* at this point !cur has dimension j+1, so every bound row only
-       involves x_0..x_j: truncating is exact *)
-    levels.(j) <-
-      {
-        lowers = List.map (fun (a, e) -> (a, truncate_expr j e)) lowers;
-        uppers = List.map (fun (a, e) -> (a, truncate_expr j e)) uppers;
-      };
-    cur := Poly.remove_redundant (Poly.eliminate_dim !cur j)
+    levels.(j) <- { lowers; uppers };
+    if j > 0 then cur := Poly.remove_redundant (Poly.eliminate_dim !cur j)
   done;
   levels
-
-let context p =
-  let dim = Poly.dim p in
-  Poly.eliminate_dims p (List.init dim (fun i -> i))

@@ -27,7 +27,3 @@ val loop_bounds : Poly.t -> level array
     intermediate projection is redundancy-reduced so the generated
     [min]/[max] bound sets stay small.  A dimension whose bound set is
     empty on one side is unbounded there. *)
-
-val context : Poly.t -> Poly.t
-(** The 0-dimensional residue of eliminating every dimension: trivially
-    empty iff the polytope is (rationally) empty. *)

@@ -21,9 +21,11 @@ type level = {
 (* Fourier–Motzkin levels, innermost dimension first: level [j] bounds
    [x_j] on the projection onto [x_0 .. x_j].  Projections are not
    redundancy-reduced; the walk only evaluates the rows, so extra rows
-   cost arithmetic, not LPs.  Raises [Is_unbounded] at a level with no
-   lower or no upper row and [Int_empty] when integer tightening
-   collapses a projection to the empty constraint. *)
+   cost arithmetic, not LPs.  The innermost level is [p]'s own rows, so
+   with every outer dimension fixed its bounds are exact.  Raises
+   [Is_unbounded] at a level with no lower or no upper row and
+   [Int_empty] when integer tightening collapses a projection to the
+   empty constraint. *)
 let levels p =
   let n = Poly.dim p in
   let lv = Array.make n { lowers = [||]; uppers = [||] } in
@@ -46,67 +48,70 @@ let rationally_unbounded p =
     | _ -> true)
     (List.init (Poly.dim p) Fun.id)
 
+(* Walk the integer values of [x_0 .. x_{n-2}] between their levels'
+   bounds in lexicographic order; at each prefix hand the innermost
+   range to [f]. *)
+let walk lv f =
+  let n = Array.length lv in
+  let x = Array.make n Zint.zero in
+  (* value of [e] at the prefix [x_0 .. x_{j-1}] *)
+  let eval j (e : Vec.t) =
+    let acc = ref e.(j + 1) in
+    for i = 0 to j - 1 do
+      if not (Zint.is_zero e.(i)) then
+        acc := Zint.add !acc (Zint.mul e.(i) x.(i))
+    done;
+    !acc
+  in
+  let extreme pick bound rows =
+    let m = ref (bound rows.(0)) in
+    for k = 1 to Array.length rows - 1 do
+      m := pick !m (bound rows.(k))
+    done;
+    !m
+  in
+  let rec go j =
+    let { lowers; uppers } = lv.(j) in
+    let lo =
+      extreme Zint.max (fun (a, e) -> Zint.cdiv (Zint.neg (eval j e)) a) lowers
+    in
+    let hi = extreme Zint.min (fun (a, e) -> Zint.fdiv (eval j e) a) uppers in
+    if j = n - 1 then f x lo hi
+    else begin
+      let v = ref lo in
+      while Zint.compare !v hi <= 0 do
+        x.(j) <- !v;
+        go (j + 1);
+        v := Zint.add !v Zint.one
+      done
+    end
+  in
+  if n = 0 then f x Zint.zero Zint.zero else go 0
+
+let iter_ranges p f =
+  if Poly.is_empty p then `Bounded
+  else
+    match levels p with
+    | lv -> walk lv f; `Bounded
+    | exception Is_unbounded -> `Unbounded
+    | exception Int_empty ->
+      if rationally_unbounded p then `Unbounded else `Bounded
+
 let count_poly ?limit p =
   let limit_z = Option.map Zint.of_int limit in
   let total = ref Zint.zero in
-  let add k =
-    total := Zint.add !total k;
-    match limit_z with
-    | Some l when Zint.compare !total l > 0 -> raise Hit_limit
-    | Some _ | None -> ()
+  let add _ lo hi =
+    if Zint.compare lo hi <= 0 then begin
+      total := Zint.add !total (Zint.add (Zint.sub hi lo) Zint.one);
+      match limit_z with
+      | Some l when Zint.compare !total l > 0 -> raise Hit_limit
+      | Some _ | None -> ()
+    end
   in
-  let walk lv =
-    let n = Array.length lv in
-    let x = Array.make n Zint.zero in
-    (* value of [e] at the prefix [x_0 .. x_{j-1}] *)
-    let eval j (e : Vec.t) =
-      let acc = ref e.(j + 1) in
-      for i = 0 to j - 1 do
-        if not (Zint.is_zero e.(i)) then
-          acc := Zint.add !acc (Zint.mul e.(i) x.(i))
-      done;
-      !acc
-    in
-    let extreme pick bound rows =
-      let m = ref (bound rows.(0)) in
-      for k = 1 to Array.length rows - 1 do
-        m := pick !m (bound rows.(k))
-      done;
-      !m
-    in
-    let rec go j =
-      let { lowers; uppers } = lv.(j) in
-      let lo =
-        extreme Zint.max
-          (fun (a, e) -> Zint.cdiv (Zint.neg (eval j e)) a)
-          lowers
-      in
-      let hi = extreme Zint.min (fun (a, e) -> Zint.fdiv (eval j e) a) uppers in
-      if j = n - 1 then begin
-        if Zint.compare lo hi <= 0 then add (Zint.add (Zint.sub hi lo) Zint.one)
-      end
-      else begin
-        let v = ref lo in
-        while Zint.compare !v hi <= 0 do
-          x.(j) <- !v;
-          go (j + 1);
-          v := Zint.add !v Zint.one
-        done
-      end
-    in
-    if n = 0 then add Zint.one else go 0
-  in
-  if Poly.is_empty p then Exact Zint.zero
-  else
-    match levels p with
-    | lv -> (
-      match walk lv with
-      | () -> Exact !total
-      | exception Hit_limit ->
-        More_than (Zint.add (Option.get limit_z) Zint.one))
-    | exception Is_unbounded -> Unbounded
-    | exception Int_empty ->
-      if rationally_unbounded p then Unbounded else Exact Zint.zero
+  match iter_ranges p add with
+  | `Bounded -> Exact !total
+  | `Unbounded -> Unbounded
+  | exception Hit_limit -> More_than (Zint.add (Option.get limit_z) Zint.one)
 
 let count_uset ?limit u =
   let disjoint = Uset.make_disjoint u in

@@ -17,6 +17,21 @@ type result =
   | More_than of Zint.t  (** hit the [limit]; true count is larger *)
   | Unbounded
 
+val iter_ranges :
+  Poly.t -> (Zint.t array -> Zint.t -> Zint.t -> unit) ->
+  [ `Bounded | `Unbounded ]
+(** The walk both {!count_poly} and the reference executor's point
+    enumeration use.  For each integer prefix [x_0 .. x_{n-2}] between
+    its projected bounds, in lexicographic order, [iter_ranges p f]
+    calls [f x lo hi]: [x.(0) .. x.(n-2)] hold the prefix and
+    [lo .. hi] is the integer range of [x_{n-1}] there, empty when
+    [lo > hi].  [x] has length [n] and is reused across calls.  A
+    non-empty 0-dimensional [p] is one point: one call with [x = [||]]
+    and [lo = hi = 0].  One LP (the rational emptiness test), then
+    arithmetic only; exceptions raised by [f] propagate.  [`Unbounded]
+    before any call when [p] is rationally non-empty and unbounded in
+    some dimension. *)
+
 val count_poly : ?limit:int -> Poly.t -> result
 (** [Unbounded] when the polyhedron is rationally non-empty and
     unbounded in some dimension, even if it has no integer point;

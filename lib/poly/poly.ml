@@ -81,8 +81,6 @@ let construct dim eqs ineqs =
     { dim; eqs = dedupe_eqs eqs; ineqs = dedupe_ineqs ineqs }
   with Empty -> bottom dim
 
-let universe dim = { dim; eqs = []; ineqs = [] }
-
 let check_width dim rows =
   List.iter (fun r ->
     if Array.length r <> dim + 1 then
@@ -190,10 +188,6 @@ let eliminate_dim p j =
 let eliminate_dims p js =
   let sorted = List.sort_uniq (fun a b -> compare b a) js in
   List.fold_left eliminate_dim p sorted
-
-let project_prefix p k =
-  let js = List.init (p.dim - k) (fun i -> k + i) in
-  eliminate_dims p js
 
 (* --- affine images --------------------------------------------------- *)
 

@@ -13,7 +13,6 @@ open Emsc_linalg
 
 type t = private { dim : int; eqs : Vec.t list; ineqs : Vec.t list }
 
-val universe : int -> t
 val bottom : int -> t
 (** The canonically-empty polyhedron (constraint [-1 >= 0]). *)
 
@@ -34,8 +33,6 @@ val is_empty : t -> bool
 (** Rational emptiness, decided by LP.  (Integer emptiness lives in
     [Emsc_pip.Ilp].) *)
 
-val is_universe : t -> bool
-
 val contains_point : t -> Vec.t -> bool
 (** Integer point membership; the point has length [dim]. *)
 
@@ -46,8 +43,6 @@ val eliminate_dim : t -> int -> t
     dimensions (later variables shift down). *)
 
 val eliminate_dims : t -> int list -> t
-val project_prefix : t -> int -> t
-(** [project_prefix p k] keeps the first [k] dimensions. *)
 
 val image : t -> Mat.t -> t
 (** [image p f]: image of [p] under the affine map [y = f * (x, 1)];

@@ -77,7 +77,6 @@ type reject = {
 
 val reject : string -> string -> reject
 
-val request_json : request -> J.t
 val request_line : request -> string
 (** One-line (no trailing newline) encoding of a request. *)
 

@@ -45,14 +45,6 @@ type stats = {
 
 (* --- request -> pipeline job --------------------------------------------- *)
 
-let spec_of_lists ~depth ~block ~mem ~thread =
-  let get a j =
-    if j < Array.length a && a.(j) > 0 then Some a.(j) else None
-  in
-  Array.init depth (fun j ->
-    { Emsc_transform.Tile.block = get block j; mem = get mem j;
-      thread = get thread j })
-
 (* Both the daemon and the bit-identity tests construct compilations
    through this one function, so "the daemon's result equals a direct
    Pipeline.compile" is a comparison of two compiles of the very same
@@ -84,7 +76,7 @@ let job_of_request ~default_machine ~name ~text (o : P.options_req) =
          | [ s ] ->
            let arr l = Array.of_list l in
            let spec =
-             spec_of_lists ~depth:s.Emsc_ir.Prog.depth
+             Emsc_transform.Tile.spec_of_lists ~depth:s.Emsc_ir.Prog.depth
                ~block:(arr o.P.o_block) ~mem:(arr o.P.o_mem)
                ~thread:(arr o.P.o_thread)
            in

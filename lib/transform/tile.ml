@@ -12,6 +12,11 @@ type dim_spec = {
 
 let no_tiling = { block = None; mem = None; thread = None }
 
+let spec_of_lists ~depth ~block ~mem ~thread =
+  let get a j = if j < Array.length a && a.(j) > 0 then Some a.(j) else None in
+  Array.init depth (fun j ->
+    { block = get block j; mem = get mem j; thread = get thread j })
+
 type spec = dim_spec array
 
 (* --- unimodular re-indexing -------------------------------------------- *)

@@ -28,16 +28,18 @@ val no_tiling : dim_spec
 
 type spec = dim_spec array  (** per (transformed) iterator dimension *)
 
+val spec_of_lists :
+  depth:int -> block:int array -> mem:int array -> thread:int array -> spec
+(** Per-dimension sizes from the three tile lists of the CLI and the
+    daemon protocol: entry [j] of a list tiles dimension [j] at that
+    level when present and positive; entries past [depth] are
+    ignored. *)
+
 val apply_unimodular : Prog.t -> Mat.t -> Prog.t
 (** Rewrite every statement under iterators [y = U x]; [U] must be
     square unimodular over the common depth.
     @raise Invalid_argument if [U] is not invertible over the
     integers. *)
-
-val origin_names : Prog.stmt -> spec -> (int * string * int) list
-(** Per tiled dimension [(dim, origin parameter name, tile extent)]:
-    the origin of the atomic (movement-level) tile — the [mem] level
-    when present, else [block]. *)
 
 val origin_context : Prog.t -> spec -> Emsc_poly.Poly.t
 (** Polyhedron over the tile program's parameters (original parameters

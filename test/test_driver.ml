@@ -313,10 +313,7 @@ let fingerprint (c : Pipeline.compiled) =
   in
   (c.Pipeline.source_name, c.Pipeline.digest, band_s, plan_s)
 
-let test_batch_matches_sequential () =
-  let jobs = Emsc_kernels.Suite.jobs () in
-  let seq = Pipeline.compile_many ~jobs:1 jobs in
-  let par = Pipeline.compile_many ~jobs:3 jobs in
+let check_same_results seq par =
   Alcotest.(check int) "same cardinality" (List.length seq) (List.length par);
   List.iter2
     (fun a b ->
@@ -329,8 +326,14 @@ let test_batch_matches_sequential () =
         Alcotest.(check string) ("band " ^ na) ba bb;
         Alcotest.(check string) ("plan " ^ na) pa pb
       | Error e, _ | _, Error e ->
-        Alcotest.failf "suite kernel failed: %s" (Frontend.error_message e))
+        Alcotest.failf "batch job failed: %s" (Frontend.error_message e))
     seq par
+
+let test_batch_matches_sequential () =
+  let jobs = Emsc_kernels.Suite.jobs () in
+  check_same_results
+    (Pipeline.compile_many ~jobs:1 jobs)
+    (Pipeline.compile_many ~jobs:3 jobs)
 
 let test_batch_reports_bad_file () =
   let jobs =
@@ -401,6 +404,84 @@ let test_batch_dead_worker_is_isolated () =
     Alcotest.failf "expected [Ok; Error; Ok; Error], got %s"
       (String.concat ";"
          (List.map (function Ok _ -> "ok" | Error _ -> "err") results))
+
+let test_batch_with_live_domain () =
+  (* OCaml refuses [Unix.fork] while another domain runs (the
+     runtime's lingering lanes, for one): the batch must then compile
+     in-process and give the sequential results *)
+  let release = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+      while not (Atomic.get release) do Unix.sleepf 0.001 done)
+  in
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set release true; Domain.join d)
+      (fun () -> Pipeline.compile_many ~jobs:2 [ named "j0"; named "j1" ])
+  in
+  check_same_results
+    (Pipeline.compile_many ~jobs:1 [ named "j0"; named "j1" ])
+    par
+
+(* --- untiled simulation ------------------------------------------------ *)
+
+let suite_sources () =
+  List.map (fun (j : Pipeline.job) -> j.Pipeline.source)
+    (Emsc_kernels.Suite.jobs ())
+
+let example_sources () =
+  let dir = "../examples/programs" in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".emsc")
+  |> List.map (fun f -> Source.file (Filename.concat dir f))
+
+let arrays_equal (c : Pipeline.compiled) m_got m_ref =
+  List.iter
+    (fun (d : Emsc_ir.Prog.array_decl) ->
+      let name = d.Emsc_ir.Prog.array_name in
+      Alcotest.(check bool)
+        (c.Pipeline.source_name ^ ": " ^ name ^ " bit-equal to reference")
+        true
+        (Emsc_machine.Memory.arrays_equal ~eps:0.0 m_got m_ref name))
+    c.Pipeline.prog.Emsc_ir.Prog.arrays
+
+let test_simulate_untiled ~stage_data sources () =
+  let sources = sources () in
+  let smem =
+    List.map
+      (fun source ->
+        let c =
+          compile_ok
+            ~options:
+              { Options.default with tiling = Options.No_tiling; stage_data }
+            source
+        in
+        Alcotest.(check bool) "untiled" true (c.Pipeline.tiled = None);
+        let m, r =
+          Runner.simulate ~mode:Emsc_machine.Exec.Full
+            ~memory:Runner.Pseudorandom c
+        in
+        let m_ref, _ =
+          Runner.reference ~memory:Runner.Pseudorandom c.Pipeline.prog
+        in
+        arrays_equal c m m_ref;
+        Emsc_machine.Exec.total_smem r.Emsc_machine.Exec.totals)
+      sources
+  in
+  (* staged harnesses route accesses through the buffers; unstaged
+     ones never touch the scratchpad *)
+  if stage_data then
+    Alcotest.(check bool) "some scratchpad traffic" true
+      (List.exists (fun w -> w > 0.0) smem)
+  else
+    Alcotest.(check (list (float 0.0))) "no scratchpad traffic"
+      (List.map (fun _ -> 0.0) smem) smem
+
+let test_simulate_untiled_par_rejected () =
+  let c = compile_ok (src ()) in
+  match Runner.simulate ~backend:(`Par 2) c with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 (* --- tracing ---------------------------------------------------------- *)
 
@@ -492,7 +573,20 @@ let () =
           Alcotest.test_case "raising job is its own named error" `Quick
             test_batch_raising_job_is_named;
           Alcotest.test_case "dead worker loses only unreported jobs" `Quick
-            test_batch_dead_worker_is_isolated ] );
+            test_batch_dead_worker_is_isolated;
+          Alcotest.test_case "live domain falls back in-process" `Quick
+            test_batch_with_live_domain ] );
+      ( "simulate",
+        [ Alcotest.test_case "untiled staged = reference" `Quick
+            (test_simulate_untiled ~stage_data:true (fun () ->
+               let examples = example_sources () in
+               Alcotest.(check bool) "example programs found" true
+                 (examples <> []);
+               suite_sources () @ examples));
+          Alcotest.test_case "untiled unstaged = reference" `Quick
+            (test_simulate_untiled ~stage_data:false suite_sources);
+          Alcotest.test_case "untiled parallel rejected" `Quick
+            test_simulate_untiled_par_rejected ] );
       ( "observability",
         [ Alcotest.test_case "stage spans present" `Quick test_stage_spans ] );
       ( "frontend",
