@@ -152,7 +152,18 @@ let write_bench_json ~figure_ms =
       kernel_counters []
     |> List.sort compare
   in
-  let prof = Emsc_obs.Prof.snapshot () in
+  (* the serve figure's compiles all run under a worker probe
+     [serve.<op>], and how many run depends on how concurrent requests
+     race on the shared cache: keep those stacks out of the profile,
+     whose solver work bench-compare gates exactly *)
+  let prof =
+    List.filter
+      (fun (f : Emsc_obs.Prof.frame) ->
+        match f.f_stack with
+        | root :: _ -> not (String.starts_with ~prefix:"serve." root)
+        | [] -> true)
+      (Emsc_obs.Prof.snapshot ())
+  in
   let j =
     J.Obj
       [ ("schema", J.Str "emsc-bench/1");
@@ -1194,11 +1205,6 @@ let serve_fig () =
     Emsc_serve.Server.config ~workers ~queue_capacity:256 ~cache
       (`Unix sock)
   in
-  (* concurrent requests for one text race on the shared cache, so how
-     many compiles run varies from run to run: keep them out of the
-     compile_profile, whose solver work bench-compare gates exactly *)
-  let profiling = Emsc_obs.Prof.enabled () in
-  Emsc_obs.Prof.disable ();
   let srv = Domain.spawn (fun () -> Emsc_serve.Server.run cfg) in
   let n_clients = 4 and rounds = 3 in
   let client ci =
@@ -1243,7 +1249,6 @@ let serve_fig () =
    | Ok _ -> ()
    | Error m -> pf "serve: shutdown: %s\n" m);
   let stats = Domain.join srv in
-  if profiling then Emsc_obs.Prof.enable ();
   let sorted = Array.of_list (List.sort compare lats) in
   let total = Array.length sorted in
   if total = 0 then failwith "serve bench: no latencies";
@@ -1387,10 +1392,9 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ -> List.map fst all_figs
   in
-  (* counter totals (pass cache, exec movement, fuzz progress) in the
-     artifact come from the metrics registry; pass timings and per-pass
-     self times with caller attribution from the self-profiler *)
-  Emsc_obs.Metrics.enable ();
+  (* one registry feeds the artifact: value totals (pass cache, exec
+     movement, fuzz progress), pass timings and per-pass self times with
+     caller attribution *)
   Emsc_obs.Prof.enable ();
   let figure_ms =
     List.filter_map (fun name ->

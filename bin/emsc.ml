@@ -268,13 +268,11 @@ let analyze_cmd =
         optimize_movement; inter_tile_reuse;
         machine = machine_digest hier }
     in
-    (* the registry picks up pass-cache and per-stage counters during
-       compilation; the JSON report carries the resulting snapshot,
-       and the Prof layer attributes the compile's wall time per pass *)
-    let metrics_were_on = Metrics.enabled () in
-    if json then Metrics.enable ();
-    let prof_was_on = Prof.enabled () in
-    if json && not prof_was_on then begin
+    (* the registry picks up pass-cache and per-stage values during
+       compilation and attributes the compile's wall time per pass; the
+       JSON report carries both *)
+    let own_prof = json && not (Prof.enabled ()) in
+    if own_prof then begin
       Prof.reset ();
       Prof.enable ()
     end;
@@ -286,11 +284,10 @@ let analyze_cmd =
     let compile_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let metrics = Metrics.diff snap0 (Metrics.snapshot ()) in
     let compile_prof = if json then Some (Prof.snapshot ()) else None in
-    if json && not prof_was_on then begin
+    if own_prof then begin
       Prof.disable ();
       Prof.reset ()
     end;
-    if json && not metrics_were_on then Metrics.disable ();
     let plan = plan_of c in
     if json then
       let fields =
@@ -498,12 +495,12 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
       inter_tile_reuse; machine = machine_digest hier;
       find_band = false; tiling = Options.Spec spec }
   in
-  (* the metrics registry is on for the whole compile + run: the
-     compile contributes per-stage and cache-latency histograms
-     (p50/p95/p99 in the JSON), the run contributes the per-buffer DMA
-     words the per-edge movement report below aggregates *)
-  let metrics_were_on = Metrics.enabled () in
-  Metrics.enable ();
+  (* the registry is on for the whole compile + run: the compile
+     contributes per-stage and cache-latency histograms (p50/p95/p99 in
+     the JSON), the run contributes the per-buffer DMA words the
+     per-edge movement report below aggregates *)
+  let prof_was_on = Prof.enabled () in
+  Prof.enable ();
   let snap0 = Metrics.snapshot () in
   let c =
     ok_or_die
@@ -525,7 +522,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
     else (simulate (), None)
   in
   let measured = Metrics.diff snap0 (Metrics.snapshot ()) in
-  if not metrics_were_on then Metrics.disable ();
+  if not prof_was_on then Prof.disable ();
   let hierarchy_json =
     let module H = Emsc_machine.Hierarchy in
     let module P = Emsc_machine.Placement in
@@ -1017,9 +1014,6 @@ let serve_cmd =
     in
     let hier = resolve_machine machine in
     ignore hier;
-    (* the daemon keeps latency quantiles and queue gauges live so a
-       status/metrics consumer sees them without restarting it *)
-    Metrics.enable ();
     let log m = if not quiet then Printf.eprintf "emsc serve: %s\n%!" m in
     let cfg =
       Emsc_serve.Server.config

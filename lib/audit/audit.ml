@@ -404,13 +404,13 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
   | Some plan ->
     Emsc_obs.Prof.probe "audit.run" @@ fun () ->
     let staging = c.Pipeline.options.Options.stage_data in
-    let was_on = Metrics.enabled () in
+    let was_on = Emsc_obs.Prof.enabled () in
     let measured =
       try
-        Metrics.enable ();
+        Emsc_obs.Prof.enable ();
         let snap0 = Metrics.snapshot () in
         Fun.protect
-          ~finally:(fun () -> if not was_on then Metrics.disable ())
+          ~finally:(fun () -> if not was_on then Emsc_obs.Prof.disable ())
           (fun () ->
             let mem, res =
               Runner.simulate ~mode:Exec.Full ~memory:Runner.Zeroed

@@ -6,7 +6,8 @@
     {!Emsc_core.Alloc.footprint}, and the first-order counter model the
     {!Emsc_machine.Timing} breakdown consumes.  This module replays a
     compiled kernel on the simulated machine in [Full] fidelity,
-    snapshots the {!Emsc_obs.Metrics} registry around the run, and
+    with the {!Emsc_obs.Prof} registry on, diffs its {!Emsc_obs.Metrics}
+    view around the run, and
     reports the relative error of every predicted quantity against what
     the executor actually counted.
 

@@ -117,18 +117,18 @@ let check_generated ~backend ~capacity_words ~hierarchy ~inter_tile ~progress
     ~seed i =
   let rng = Random.State.make [| seed; i |] in
   let spec = Gen.generate rng in
-  Emsc_obs.Metrics.counter "fuzz.generated" 1.0;
+  Emsc_obs.Prof.add "fuzz.generated" 1.0;
   let checks = ref 0 and failures = ref [] in
   List.iter (fun st ->
     match check_setting ~backend ~capacity_words ~hierarchy spec st with
     | Ok None -> ()
     | Ok (Some ()) ->
       incr checks;
-      Emsc_obs.Metrics.counter "fuzz.checks" 1.0
+      Emsc_obs.Prof.add "fuzz.checks" 1.0
     | Error reason ->
       incr checks;
-      Emsc_obs.Metrics.counter "fuzz.checks" 1.0;
-      Emsc_obs.Metrics.counter "fuzz.failed" 1.0;
+      Emsc_obs.Prof.add "fuzz.checks" 1.0;
+      Emsc_obs.Prof.add "fuzz.failed" 1.0;
       progress
         (Printf.sprintf "gen#%d failed under %s: %s — shrinking" i st.sname
            reason);
@@ -137,7 +137,7 @@ let check_generated ~backend ~capacity_words ~hierarchy ~inter_tile ~progress
         | Error _ -> true
         | Ok _ -> false
       in
-      Emsc_obs.Metrics.counter "fuzz.shrunk" 1.0;
+      Emsc_obs.Prof.add "fuzz.shrunk" 1.0;
       let small = Shrink.minimize ~max_steps:25 ~still_fails spec in
       let reason =
         match check_setting ~backend ~capacity_words ~hierarchy small st with

@@ -33,10 +33,6 @@ type t = {
   mutable evictions : int;
 }
 
-(* bump when any stage's result type changes: stored values are
-   untyped, the key is the only type witness *)
-let version = "emsc-driver-cache/2"
-
 let make_sentinel () =
   let rec s = { n_key = ""; n_bytes = ""; prev = s; next = s } in
   s
@@ -100,7 +96,8 @@ let mem_entries t = locked t (fun () -> Hashtbl.length t.mem)
 
 let key ~digest ~stage ~extra =
   Digest.to_hex
-    (Digest.string (String.concat "\x00" [ version; digest; stage; extra ]))
+    (Digest.string
+       (String.concat "\x00" [ Build_id.id; digest; stage; extra ]))
 
 (* list surgery; call with t.mu held *)
 let unlink n =
@@ -140,7 +137,7 @@ let insert_locked t key bytes =
 
 let note_evictions n =
   if n > 0 then
-    Emsc_obs.Metrics.counter "driver.cache.evictions" (float_of_int n)
+    Emsc_obs.Prof.add "driver.cache.evictions" (float_of_int n)
 
 let read_all path =
   match open_in_bin path with
@@ -243,24 +240,24 @@ let memo t ~key f =
         match layer with
         | `Hot -> t.hot_hits <- t.hot_hits + 1
         | `Disk -> t.disk_hits <- t.disk_hits + 1);
-      Emsc_obs.Metrics.counter "driver.cache.hits" 1.0;
-      Emsc_obs.Metrics.counter
+      Emsc_obs.Prof.add "driver.cache.hits" 1.0;
+      Emsc_obs.Prof.add
         (match layer with
          | `Hot -> "driver.cache.hot_hits"
          | `Disk -> "driver.cache.disk_hits")
         1.0;
-      Emsc_obs.Metrics.observe "driver.cache.hit_ms" lookup_ms;
+      Emsc_obs.Prof.observe "driver.cache.hit_ms" lookup_ms;
       (v, true)
     | None ->
       locked t (fun () -> t.misses <- t.misses + 1);
-      Emsc_obs.Metrics.counter "driver.cache.misses" 1.0;
-      Emsc_obs.Metrics.observe "driver.cache.miss_ms" lookup_ms;
+      Emsc_obs.Prof.add "driver.cache.misses" 1.0;
+      Emsc_obs.Prof.observe "driver.cache.miss_ms" lookup_ms;
       let v = f () in
       let t1 = Unix.gettimeofday () in
       Emsc_obs.Prof.probe "driver.cache.store" (fun () -> store t ~key v);
-      Emsc_obs.Metrics.observe "driver.cache.store_ms"
+      Emsc_obs.Prof.observe "driver.cache.store_ms"
         ((Unix.gettimeofday () -. t1) *. 1000.0);
-      Emsc_obs.Metrics.counter "driver.cache.stores" 1.0;
+      Emsc_obs.Prof.add "driver.cache.stores" 1.0;
       (v, false)
   end
 

@@ -1,8 +1,7 @@
 (** Content-addressed memoization of pipeline stage results.
 
-    Keys are digests of (source content, stage name, option
-    fingerprint, cache format version); values are marshalled OCaml
-    values.  Two layers: an in-process table (hits within one run,
+    Keys are digests of (compiler build id, source content, stage
+    name, option fingerprint); values are marshalled OCaml values.  Two layers: an in-process table (hits within one run,
     across the workers of a batch via fork inheritance of warm state,
     and across the requests of a long-running [emsc serve] daemon) and
     an optional on-disk store (hits across processes — this is what
@@ -45,17 +44,17 @@ val dir : t -> string option
 val max_entries : t -> int option
 
 val key : digest:string -> stage:string -> extra:string -> string
-(** The content-addressed key: digest of source digest + stage name +
-    option fingerprint + format version. *)
+(** The content-addressed key: digest of {!Build_id.id} + source
+    digest + stage name + option fingerprint. *)
 
 val memo : t -> key:string -> (unit -> 'a) -> 'a * bool
 (** Cached value (and [true]), or [f ()] stored under [key] (and
     [false]).  Counters are updated accordingly.
 
     The stored representation is untyped (Marshal); soundness comes
-    from the key: a given (version, stage) pair always stores the same
-    type, and the version constant must be bumped whenever a stage's
-    result type changes. *)
+    from the key: a given (build, stage) pair always stores the same
+    type and the same behaviour's result, and an entry written by
+    another build of the compiler is a miss. *)
 
 val find : t -> key:string -> 'a option
 

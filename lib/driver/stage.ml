@@ -36,10 +36,10 @@ let exec ?cache ~record st x =
   in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   record { stage = st.name; ms; cacheable; cached };
-  if Metrics.enabled () then begin
+  if Prof.enabled () then begin
     let labels = [ ("stage", st.name) ] in
-    Metrics.counter ~labels "pipeline.stage_runs" 1.0;
-    if cached then Metrics.counter ~labels "pipeline.stage_cached" 1.0;
-    Metrics.observe ~labels "pipeline.stage_ms" ms
+    Prof.add ~labels "pipeline.stage_runs" 1.0;
+    if cached then Prof.add ~labels "pipeline.stage_cached" 1.0;
+    Prof.observe ~labels "pipeline.stage_ms" ms
   end;
   result

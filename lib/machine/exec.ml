@@ -75,10 +75,9 @@ let rec expr_flops = function
   | Prog.Ediv (a, b) | Prog.Emin (a, b) | Prog.Emax (a, b) ->
     1 + expr_flops a + expr_flops b
 
-(* staged-movement accounting local to one execution context: worker
-   domains must never touch the (single-threaded) Metrics registry, so
-   copies are tallied here and flushed — or reduced across blocks —
-   from the main domain *)
+(* staged-movement accounting local to one execution context: copies
+   are tallied here and flushed — or reduced across blocks — into the
+   registry once per run, from the main domain *)
 type dma_tally = {
   mutable dma_copies : float;
   dma_in : (string, float ref) Hashtbl.t;
@@ -108,34 +107,34 @@ let tally_add d (b : block_dma) =
    per run: O(1) regardless of program size, and one boolean when
    disabled *)
 let record_run_metrics c dma ~occupancy =
-  if Emsc_obs.Metrics.enabled () then begin
+  if Emsc_obs.Prof.enabled () then begin
     let open Emsc_obs in
     if dma.dma_copies > 0.0 then begin
-      Metrics.counter "exec.copies" dma.dma_copies;
+      Prof.add "exec.copies" dma.dma_copies;
       let flush name tbl =
         Hashtbl.iter (fun buffer words ->
           if !words > 0.0 then
-            Metrics.counter ~labels:[ ("buffer", buffer) ] name !words)
+            Prof.add ~labels:[ ("buffer", buffer) ] name !words)
           tbl
       in
       flush "exec.move_in_words" dma.dma_in;
       flush "exec.move_out_words" dma.dma_out
     end;
-    Metrics.counter "exec.runs" 1.0;
-    Metrics.counter "exec.flops" c.flops;
-    Metrics.counter "exec.global_loads" c.g_ld;
-    Metrics.counter "exec.global_stores" c.g_st;
-    Metrics.counter "exec.smem_loads" c.s_ld;
-    Metrics.counter "exec.smem_stores" c.s_st;
-    Metrics.counter "exec.syncs" c.syncs;
-    Metrics.counter "exec.fences" c.fences;
+    Prof.add "exec.runs" 1.0;
+    Prof.add "exec.flops" c.flops;
+    Prof.add "exec.global_loads" c.g_ld;
+    Prof.add "exec.global_stores" c.g_st;
+    Prof.add "exec.smem_loads" c.s_ld;
+    Prof.add "exec.smem_stores" c.s_st;
+    Prof.add "exec.syncs" c.syncs;
+    Prof.add "exec.fences" c.fences;
     let occ = occupancy () in
     List.iter (fun (name, cells) ->
-      Metrics.gauge_max ~labels:[ ("buffer", name) ]
+      Prof.gauge_max ~labels:[ ("buffer", name) ]
         "exec.scratchpad_occupancy_words" (float_of_int cells))
       occ;
     if occ <> [] then
-      Metrics.gauge_max "exec.scratchpad_occupancy_total_words"
+      Prof.gauge_max "exec.scratchpad_occupancy_total_words"
         (float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 occ))
   end
 
@@ -804,8 +803,8 @@ let run_block ~memory ?(mode = Full) ?on_global ?(collect_dma = false)
     ~bindings (code : code) =
   let ctx =
     (* [in_launch] pre-set: the block body's own Block loops are plain
-       loops here (the caller owns launch bookkeeping), and neither
-       Prof nor Metrics is touched — safe on a worker domain *)
+       loops here (the caller owns launch bookkeeping), and Prof is not
+       touched — safe on a worker domain *)
     make_ctx code ~memory ~mode ~on_global ~collect_dma ~in_launch:true
       ~bindings
   in
@@ -816,7 +815,7 @@ let run ~prog ?local_ref ~param_env ~memory ?(mode = Full) ?on_global stms =
   let code = lower (session ~prog ?local_ref ~param_env ()) stms in
   let ctx =
     make_ctx code ~memory ~mode ~on_global
-      ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false ~bindings:[]
+      ~collect_dma:(Emsc_obs.Prof.enabled ()) ~in_launch:false ~bindings:[]
   in
   code.run ctx;
   let dma = fresh_tally () in

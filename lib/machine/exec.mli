@@ -135,7 +135,7 @@ val run_block :
 (** Run [code] in a fresh frame with a fresh counter set: its free
     names take their values from [bindings] (a later binding of a
     name wins) or else the session's parameter valuation.  Never
-    touches [Metrics] or [Prof] (safe on a worker domain); movement is
+    touches [Prof] (safe on a worker domain); movement is
     tallied into the outcome when [collect_dma] is set.  Block loops
     inside the code are treated as plain loops — launch bookkeeping
     belongs to the caller. *)
@@ -156,8 +156,9 @@ val prof_launch : counters -> unit
 
 val record_run_metrics :
   counters -> dma_tally -> occupancy:(unit -> (string * int) list) -> unit
-(** Record one finished run in the [Metrics] registry: the movement
+(** Record one finished run as {!Emsc_obs.Prof} values: the movement
     tally ([exec.copies], [exec.move_in_words]/[exec.move_out_words]
     per buffer), the [exec.*] counter totals, and [occupancy] as the
-    per-buffer [exec.scratchpad_occupancy_words] gauges.  [occupancy]
-    is only called when the registry is on.  Main domain only. *)
+    per-buffer [exec.scratchpad_occupancy_words] gauge-max values.
+    [occupancy] is only called when the registry is on.  Main domain
+    only. *)

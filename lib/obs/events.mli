@@ -7,7 +7,7 @@
     DMA lanes, arena occupancy — without any synchronization on the
     hot path.
 
-    Discipline, same as {!Prof} and {!Metrics}: disabled by default,
+    Discipline, same as {!Prof}: disabled by default,
     and every emit first tests one boolean.  Instrumented code must
     guard the event-record construction behind {!enabled} (or a cached
     copy of it), so a disabled run allocates nothing and executes

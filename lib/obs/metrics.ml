@@ -1,107 +1,6 @@
-type labels = (string * string) list
+type labels = Prof.labels
 
-type cell =
-  | Ccounter of float ref
-  | Cgauge of float ref
-  | Chist of { mutable h_count : int; mutable h_sum : float;
-               h_buckets : (int, int ref) Hashtbl.t }
-
-let enabled_flag = ref false
-let enabled () = !enabled_flag
-let enable () = enabled_flag := true
-let disable () = enabled_flag := false
-
-let default_clock = Unix.gettimeofday
-let clock = ref default_clock
-let set_clock c = clock := c
-let use_default_clock () = clock := default_clock
-
-(* One table for the whole process, keyed by (name, sorted labels).
-   Cells are updated from worker domains (arena gauges, exec counters),
-   so every table access and cell mutation happens under [m] — the
-   updates are tiny, and the enabled-flag test keeps the disabled path
-   lock-free. *)
-let m = Mutex.create ()
-let table : (string * labels, cell) Hashtbl.t = Hashtbl.create 64
-
-let locked f =
-  Mutex.lock m;
-  match f () with
-  | v -> Mutex.unlock m; v
-  | exception e -> Mutex.unlock m; raise e
-
-let reset () = locked (fun () -> Hashtbl.reset table)
-
-let canon labels =
-  match labels with
-  | [] -> []
-  | [ _ ] -> labels
-  | _ -> List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-
-let cell ?(labels = []) name make =
-  let key = (name, canon labels) in
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-    let c = make () in
-    Hashtbl.replace table key c;
-    c
-
-let counter ?labels name v =
-  if !enabled_flag then
-    locked (fun () ->
-      match cell ?labels name (fun () -> Ccounter (ref 0.0)) with
-      | Ccounter r -> r := !r +. v
-      | Cgauge _ | Chist _ -> ())
-
-let gauge ?labels name v =
-  if !enabled_flag then
-    locked (fun () ->
-      match cell ?labels name (fun () -> Cgauge (ref v)) with
-      | Cgauge r -> r := v
-      | Ccounter _ | Chist _ -> ())
-
-let gauge_max ?labels name v =
-  if !enabled_flag then
-    locked (fun () ->
-      match cell ?labels name (fun () -> Cgauge (ref v)) with
-      | Cgauge r -> if v > !r then r := v
-      | Ccounter _ | Chist _ -> ())
-
-(* log2 bucket exponent: smallest k with v <= 2^k; v <= 0 underflows *)
-let bucket_of v =
-  if v <= 0.0 then min_int
-  else begin
-    let k = ref 0 and b = ref 1.0 in
-    if v <= 1.0 then 0
-    else begin
-      while !b < v && !k < 1024 do
-        b := !b *. 2.0;
-        incr k
-      done;
-      !k
-    end
-  end
-
-let observe ?labels name v =
-  if !enabled_flag then
-    locked (fun () ->
-      match
-        cell ?labels name (fun () ->
-          Chist { h_count = 0; h_sum = 0.0; h_buckets = Hashtbl.create 8 })
-      with
-      | Chist h ->
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        let k = bucket_of v in
-        (match Hashtbl.find_opt h.h_buckets k with
-         | Some r -> incr r
-         | None -> Hashtbl.replace h.h_buckets k (ref 1))
-      | Ccounter _ | Cgauge _ -> ())
-
-(* --- snapshots --------------------------------------------------------- *)
-
-type value =
+type value = Prof.value =
   | Counter of float
   | Gauge of float
   | Histogram of { count : int; sum : float; buckets : (int * int) list }
@@ -117,15 +16,9 @@ type snapshot = {
   samples : sample list;
 }
 
-let freeze = function
-  | Ccounter r -> Counter !r
-  | Cgauge r -> Gauge !r
-  | Chist h ->
-    let buckets =
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) h.h_buckets []
-      |> List.sort compare
-    in
-    Histogram { count = h.h_count; sum = h.h_sum; buckets }
+let enable = Prof.enable
+let disable = Prof.disable
+let reset = Prof.reset
 
 let compare_sample a b =
   match String.compare a.m_name b.m_name with
@@ -134,13 +27,12 @@ let compare_sample a b =
 
 let snapshot () =
   let samples =
-    locked (fun () ->
-      Hashtbl.fold (fun (name, labels) c acc ->
-        { m_name = name; m_labels = labels; m_value = freeze c } :: acc)
-        table [])
+    List.map (fun (name, labels, v) ->
+      { m_name = name; m_labels = labels; m_value = v })
+      (Prof.values ())
     |> List.sort compare_sample
   in
-  { at_s = !clock (); samples }
+  { at_s = Prof.now (); samples }
 
 let sub_buckets later earlier =
   let tbl = Hashtbl.create 8 in
@@ -177,7 +69,7 @@ let diff earlier later =
   { at_s = later.at_s; samples }
 
 let find ?(labels = []) snap name =
-  let labels = canon labels in
+  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   List.find_map (fun s ->
     if s.m_name = name && s.m_labels = labels then Some s.m_value else None)
     snap.samples
@@ -258,19 +150,3 @@ let snapshot_json snap =
                                s.m_labels) ) ])
                 @ value_fields s.m_value))
              snap.samples) ) ]
-
-let pp fmt snap =
-  List.iter (fun s ->
-    Format.fprintf fmt "%s" s.m_name;
-    if s.m_labels <> [] then begin
-      Format.fprintf fmt "{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> k ^ "=" ^ v) s.m_labels))
-    end;
-    (match s.m_value with
-     | Counter v -> Format.fprintf fmt " = %.0f" v
-     | Gauge v -> Format.fprintf fmt " = %g (gauge)" v
-     | Histogram { count; sum; _ } ->
-       Format.fprintf fmt " = %d obs, sum %g" count sum);
-    Format.pp_print_newline fmt ())
-    snap.samples

@@ -14,10 +14,16 @@
      per probe with its start, duration, args and counters, for the
      Chrome trace export.  Its memory grows with the call count.
 
+   Values (counters, gauge-max, log2 histograms) live in a second
+   per-domain table keyed by (label stack, name, labels).  Frames read
+   its counters per stack, summed over labels; [values] reads every
+   value per (name, labels), merged over stacks and domains.
+
    Domain-safe the same way Events is: each domain owns its state
    (registered under a mutex on first probe), writers never share
-   cells, and [snapshot]/[roots] merge every domain's state after the
-   caller has established a happens-before edge (joined its domains). *)
+   cells, and [snapshot]/[values]/[roots] merge every domain's state
+   after the caller has established a happens-before edge (joined its
+   domains). *)
 
 type node = {
   name : string;
@@ -44,10 +50,17 @@ type acc = {
   mutable a_total : float;
 }
 
+type labels = (string * string) list
+
+type value =
+  | Counter of float
+  | Gauge of float
+  | Histogram of { count : int; sum : float; buckets : (int * int) list }
+
 type dstate = {
   mutable d_stack : string list; (* open probes, innermost first *)
   d_frames : (string list, acc) Hashtbl.t;
-  d_counters : (string list * string, float ref) Hashtbl.t;
+  d_values : (string list * string * labels, value ref) Hashtbl.t;
   d_root : open_span; (* this domain's completed top-level spans *)
   mutable d_open : open_span; (* innermost open span, [d_root] if none *)
 }
@@ -65,6 +78,7 @@ let default_clock = Unix.gettimeofday
 let clock = ref default_clock
 let set_clock c = clock := c
 let use_default_clock () = clock := default_clock
+let now () = !clock ()
 
 (* registered domain states; [generation] invalidates cached DLS
    states across [reset] so a reset never resurrects old tables *)
@@ -92,7 +106,7 @@ let state () =
     in
     let st =
       { d_stack = []; d_frames = Hashtbl.create 64;
-        d_counters = Hashtbl.create 16; d_root = root; d_open = root }
+        d_values = Hashtbl.create 16; d_root = root; d_open = root }
     in
     Mutex.lock reg_m;
     let g = !generation in
@@ -178,16 +192,66 @@ let rec bump name v = function
   | (k, x) :: rest when String.equal k name -> (k, x +. v) :: rest
   | kv :: rest -> kv :: bump name v rest
 
-let add name v =
+let canon labels =
+  match labels with
+  | [] | [ _ ] -> labels
+  | _ -> List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+
+let rec add_buckets a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | (ka, na) :: ra, (kb, nb) :: rb ->
+    if ka = kb then (ka, na + nb) :: add_buckets ra rb
+    else if ka < kb then (ka, na) :: add_buckets ra b
+    else (kb, nb) :: add_buckets a rb
+
+(* one rule combines two values of a key, whether recorded one after
+   the other or merged across stacks and domains: counters add,
+   gauge-max keeps the maximum, histograms add bucket by bucket.  A key
+   keeps the kind it was first recorded with. *)
+let merge a b =
+  match a, b with
+  | Counter x, Counter y -> Counter (x +. y)
+  | Gauge x, Gauge y -> Gauge (Float.max x y)
+  | Histogram h, Histogram g ->
+    Histogram
+      { count = h.count + g.count; sum = h.sum +. g.sum;
+        buckets = add_buckets h.buckets g.buckets }
+  | a, _ -> a
+
+let record st labels name v =
+  let key = (st.d_stack, name, canon labels) in
+  match Hashtbl.find_opt st.d_values key with
+  | Some r -> r := merge !r v
+  | None -> Hashtbl.add st.d_values key (ref v)
+
+let add ?(labels = []) name v =
   if !enabled_flag then begin
     let st = state () in
-    let key = (st.d_stack, name) in
-    (match Hashtbl.find_opt st.d_counters key with
-     | Some r -> r := !r +. v
-     | None -> Hashtbl.add st.d_counters key (ref v));
+    record st labels name (Counter v);
     let o = st.d_open in
     if o != st.d_root then o.o_counters <- bump name v o.o_counters
   end
+
+let gauge_max ?(labels = []) name v =
+  if !enabled_flag then record (state ()) labels name (Gauge v)
+
+(* log2 bucket exponent: smallest k with v <= 2^k; v <= 0 underflows *)
+let bucket_of v =
+  if v <= 0.0 then min_int
+  else begin
+    let k = ref 0 and b = ref 1.0 in
+    while !b < v && !k < 1024 do
+      b := !b *. 2.0;
+      incr k
+    done;
+    !k
+  end
+
+let observe ?(labels = []) name v =
+  if !enabled_flag then
+    record (state ()) labels name
+      (Histogram { count = 1; sum = v; buckets = [ (bucket_of v, 1) ] })
 
 let registered () =
   Mutex.lock reg_m;
@@ -223,10 +287,15 @@ let snapshot () =
         Hashtbl.add totals path
           { a_calls = a.a_calls; a_errors = a.a_errors; a_total = a.a_total })
       st.d_frames;
-    Hashtbl.iter (fun key r ->
-      let cur = try Hashtbl.find counters key with Not_found -> 0.0 in
-      Hashtbl.replace counters key (cur +. !r))
-      st.d_counters)
+    (* a frame's counters are summed over labels *)
+    Hashtbl.iter (fun (path, name, _) r ->
+      match !r with
+      | Counter v ->
+        let key = (path, name) in
+        let cur = try Hashtbl.find counters key with Not_found -> 0.0 in
+        Hashtbl.replace counters key (cur +. v)
+      | Gauge _ | Histogram _ -> ())
+      st.d_values)
     (registered ());
   (* counters recorded under a stack that never completed a probe (or
      outside any probe) still need a frame to hang off *)
@@ -267,6 +336,20 @@ let attributed_s prof =
   List.fold_left (fun acc f ->
     match f.f_stack with [ _ ] -> acc +. f.f_total_s | _ -> acc)
     0.0 prof
+
+(* --- values, merged over stacks and domains ------------------------------ *)
+
+let values () =
+  let tbl : (string * labels, value) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun st ->
+    Hashtbl.iter (fun (_, name, labels) r ->
+      let key = (name, labels) in
+      match Hashtbl.find_opt tbl key with
+      | Some v -> Hashtbl.replace tbl key (merge v !r)
+      | None -> Hashtbl.add tbl key !r)
+      st.d_values)
+    (registered ());
+  Hashtbl.fold (fun (name, labels) v acc -> (name, labels, v) :: acc) tbl []
 
 (* --- per-pass aggregation (leaf label, across stacks) ------------------- *)
 

@@ -1,5 +1,5 @@
-(** Hierarchical self-profiler and span tracer for the compiler and
-    runtime hot paths — the one probe API.
+(** Hierarchical self-profiler, span tracer and metrics registry for
+    the compiler and runtime hot paths — the one instrumentation API.
 
     Answers "where does time go?" with caller attribution: each probe
     pushes a label on a per-domain stack and accumulates wall time,
@@ -15,11 +15,17 @@
     {!Events.merged_chrome_json}.  Its memory grows with the call
     count, so only a single traced command turns it on.
 
+    Labeled values (counters, gauge-max, log2 histograms) are recorded
+    under the current label stack too, switched by the same flag.  A
+    {!frame} reads its stack's counters summed over labels; {!values}
+    (rendered by {!Metrics}) reads every value summed over stacks.
+
     Follows the [Events] discipline: disabled by default, every entry
     point tests one boolean first, and the disabled path of the
-    [wrap]/[wrap2]/[add] forms performs no allocation — safe to leave
-    in the hottest loops.  Domain-safe: each domain owns its own stack
-    and tables; [snapshot] and [roots] merge them all.
+    [wrap]/[wrap2]/[add]/[gauge_max]/[observe] forms performs no
+    allocation — safe to leave in the hottest loops.  Domain-safe: each
+    domain owns its own stack and tables; [snapshot], [values] and
+    [roots] merge them all.
 
     Snapshots export three ways: a collapsed-stack string that
     external flamegraph tools (flamegraph.pl, speedscope, inferno)
@@ -46,12 +52,14 @@ val enable_tree : unit -> unit
 val disable_tree : unit -> unit
 
 val reset : unit -> unit
-(** Drop all recorded data, aggregate and tree, from every domain. *)
+(** Drop all recorded data, values included, from every domain. *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the wall clock (seconds); for deterministic tests. *)
 
 val use_default_clock : unit -> unit
+
+val now : unit -> float
 
 (** {2 Recording} *)
 
@@ -72,11 +80,23 @@ val wrap : string -> ('a -> 'b) -> 'a -> 'b
 
 val wrap2 : string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
 
-val add : string -> float -> unit
+type labels = (string * string) list
+(** Label pairs; order does not matter (keys are canonicalized). *)
+
+val add : ?labels:labels -> string -> float -> unit
 (** [add name v] bumps counter [name] attributed to the current label
     stack (e.g. simplex pivots under whichever pass triggered them),
     and to the innermost open span of the tree.  No-op when
     disabled. *)
+
+val gauge_max : ?labels:labels -> string -> float -> unit
+(** [gauge_max name v] keeps the largest value recorded — e.g. peak
+    scratchpad occupancy. *)
+
+val observe : ?labels:labels -> string -> float -> unit
+(** [observe name v] adds [v] to a log2 histogram: bucket [k] counts
+    [2^(k-1) < v <= 2^k], and [v <= 0] lands in bucket [min_int].  A
+    key keeps the kind it was first recorded with. *)
 
 (** {2 Snapshots} *)
 
@@ -86,7 +106,9 @@ type frame = {
   f_errors : int;         (** calls that exited by an exception *)
   f_total_s : float;      (** inclusive wall seconds *)
   f_self_s : float;       (** total minus probed children, clamped at 0 *)
-  f_counters : (string * float) list;  (** sorted by name *)
+  f_counters : (string * float) list;
+      (** each counter under this stack, summed over labels; sorted by
+          name *)
 }
 
 type profile = frame list
@@ -100,6 +122,18 @@ val snapshot : unit -> profile
 val attributed_s : profile -> float
 (** Total wall seconds under root (depth-1) frames — the denominator
     for "how much of the pipeline is attributed". *)
+
+(** {2 Values} *)
+
+type value =
+  | Counter of float
+  | Gauge of float  (** the maximum recorded *)
+  | Histogram of { count : int; sum : float; buckets : (int * int) list }
+
+val values : unit -> (string * labels * value) list
+(** Every value per (name, sorted labels), unordered, merged over
+    stacks (the empty one included) and domains: counters add,
+    gauge-max takes the maximum, histograms add bucket by bucket. *)
 
 (** {2 Per-pass aggregation} *)
 

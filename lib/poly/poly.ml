@@ -150,10 +150,10 @@ let substitute_eq e j row =
 let eliminate_dim_impl p j =
   (* input-structure histograms: FM projection cost is driven by
      constraint count and dimension, so record both per call *)
-  if Emsc_obs.Metrics.enabled () then begin
-    Emsc_obs.Metrics.observe "poly.project.ineqs"
+  if Emsc_obs.Prof.enabled () then begin
+    Emsc_obs.Prof.observe "poly.project.ineqs"
       (float_of_int (List.length p.ineqs));
-    Emsc_obs.Metrics.observe "poly.project.dim" (float_of_int p.dim)
+    Emsc_obs.Prof.observe "poly.project.dim" (float_of_int p.dim)
   end;
   if is_trivially_empty p then bottom (p.dim - 1)
   else begin

@@ -615,27 +615,20 @@ let flush_metrics rt =
   Exec.record_run_metrics rt.totals rt.run_dma ~occupancy:(fun () ->
     Arena.peak_occupancy rt.apool);
   if Emsc_obs.Prof.enabled () then begin
-    (* the DMA lanes' tallies, attributed to [runtime.run] *)
-    let sum f = Array.fold_left (fun a cs -> a +. f cs) 0.0 rt.chan_stats in
-    Emsc_obs.Prof.add "runtime.dma.move_in_words" (sum (fun cs -> cs.in_words));
-    Emsc_obs.Prof.add "runtime.dma.move_out_words"
-      (sum (fun cs -> cs.out_words));
-    Emsc_obs.Prof.add "runtime.dma.transfers" (sum (fun cs -> cs.transfers))
-  end;
-  if Emsc_obs.Metrics.enabled () then begin
     let open Emsc_obs in
-    Metrics.counter "runtime.blocks" (float_of_int rt.blocks_run);
-    Metrics.counter "runtime.launches"
-      (float_of_int (List.length rt.launches));
-    Metrics.gauge_max "runtime.arena_peak_concurrent"
+    Prof.add "runtime.blocks" (float_of_int rt.blocks_run);
+    Prof.add "runtime.launches" (float_of_int (List.length rt.launches));
+    Prof.gauge_max "runtime.arena_peak_concurrent"
       (float_of_int (Arena.peak_in_use rt.apool));
+    (* the DMA lanes' tallies, one label per channel; the [runtime.run]
+       frame reads their sum *)
     Array.iteri
       (fun i cs ->
         if cs.transfers > 0.0 then begin
           let labels = [ ("channel", "ch" ^ string_of_int i) ] in
-          Metrics.counter ~labels "runtime.dma.move_in_words" cs.in_words;
-          Metrics.counter ~labels "runtime.dma.move_out_words" cs.out_words;
-          Metrics.counter ~labels "runtime.dma.transfers" cs.transfers
+          Prof.add ~labels "runtime.dma.move_in_words" cs.in_words;
+          Prof.add ~labels "runtime.dma.move_out_words" cs.out_words;
+          Prof.add ~labels "runtime.dma.transfers" cs.transfers
         end)
       rt.chan_stats
   end
@@ -677,8 +670,7 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
   in
   let rt =
     { cfg; param_env; memory; apool; crew;
-      collect_dma =
-        Emsc_obs.Metrics.enabled () || ev_on || Emsc_obs.Prof.enabled ();
+      collect_dma = ev_on || Emsc_obs.Prof.enabled ();
       user_hook = on_global;
       hook_m = Mutex.create (); totals = Exec.fresh ();
       run_dma = Exec.fresh_tally ();

@@ -1,6 +1,5 @@
 module P = Protocol
 module J = Emsc_obs.Json
-module Metrics = Emsc_obs.Metrics
 module Prof = Emsc_obs.Prof
 module Pipeline = Emsc_driver.Pipeline
 module Cache = Emsc_driver.Cache
@@ -218,13 +217,13 @@ let run (cfg : config) : stats =
   let done_q : (int * string * bool) Queue.t = Queue.create () in
 
   let observe_reject code =
-    Metrics.counter ~labels:[ ("code", code) ] "serve.rejects" 1.0
+    Prof.add ~labels:[ ("code", code) ] "serve.rejects" 1.0
   in
 
   let process (t : task) =
     let now = Unix.gettimeofday () in
     let queue_ms = (now -. t.t_arrival) *. 1000.0 in
-    Metrics.observe "serve.queue_ms" queue_ms;
+    Prof.observe "serve.queue_ms" queue_ms;
     let expired =
       match t.t_deadline with Some d -> now > d | None -> false
     in
@@ -245,12 +244,12 @@ let run (cfg : config) : stats =
             t.t_req.P.op)
       in
       let exec_ms = (Unix.gettimeofday () -. now) *. 1000.0 in
-      Metrics.observe "serve.exec_ms" exec_ms;
-      Metrics.observe ~labels:[ ("op", opn) ] "serve.request_ms"
+      Prof.observe "serve.exec_ms" exec_ms;
+      Prof.observe ~labels:[ ("op", opn) ] "serve.request_ms"
         (queue_ms +. exec_ms);
       match result with
       | Ok (payload, server) ->
-        Metrics.counter ~labels:[ ("op", opn) ] "serve.requests" 1.0;
+        Prof.add ~labels:[ ("op", opn) ] "serve.requests" 1.0;
         let server =
           server
           @ [ ("queue_ms", J.Float queue_ms); ("exec_ms", J.Float exec_ms) ]
@@ -394,7 +393,7 @@ let run (cfg : config) : stats =
         let admitted = depth < cfg.queue_capacity in
         if admitted then begin
           Queue.push t queue;
-          Metrics.gauge "serve.queue_depth" (float_of_int (depth + 1));
+          Prof.gauge_max "serve.queue_depth" (float_of_int (depth + 1));
           Condition.signal qcond
         end;
         Mutex.unlock qmutex;

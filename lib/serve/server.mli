@@ -10,7 +10,7 @@
         └──────┬──────────────────────────────────────────────┘
                │ bounded task queue (queue_full reject past capacity)
         ┌──────▼──────────────┐
-        │ worker domain pool  │── Pipeline.compile under Prof/Metrics
+        │ worker domain pool  │── Pipeline.compile under Prof
         └──────┬──────────────┘
                │ shared Driver.Cache (LRU memory layer + atomic disk)
                ▼

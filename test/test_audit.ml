@@ -88,15 +88,15 @@ let test_suite_ok () =
        outcomes)
 
 let test_metrics_state_restored () =
-  Metrics.reset ();
-  Metrics.disable ();
+  Prof.reset ();
+  Prof.disable ();
   let c = compile_matmul () in
   (match A.audit_compiled c with
    | A.Audited _ -> ()
    | _ -> Alcotest.fail "expected an audited outcome");
-  checkb "metrics disabled again after audit" false (Metrics.enabled ());
+  checkb "registry disabled again after audit" false (Prof.enabled ());
   (* nothing leaked into the (disabled) registry for later callers *)
-  Metrics.reset ();
+  Prof.reset ();
   checki "registry empty" 0 (List.length (Metrics.snapshot ()).Metrics.samples)
 
 (* --- per-buffer movement attribution in the interpreter --------------- *)
@@ -118,14 +118,14 @@ let test_exec_attribution () =
       (Runner.execute ~prog:c.Pipeline.prog ~local_ref:(Plan.local_ref plan)
          ~locals ~mode:Exec.Full ~memory:Runner.Zeroed harness)
   in
-  Metrics.reset ();
-  Metrics.disable ();
+  Prof.reset ();
+  Prof.disable ();
   run ();
   checki "disabled run records nothing" 0
     (List.length (Metrics.snapshot ()).Metrics.samples);
-  Metrics.enable ();
+  Prof.enable ();
   Fun.protect
-    ~finally:(fun () -> Metrics.disable (); Metrics.reset ())
+    ~finally:(fun () -> Prof.disable (); Prof.reset ())
     (fun () ->
       let snap0 = Metrics.snapshot () in
       run ();

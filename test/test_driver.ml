@@ -159,29 +159,31 @@ let test_corrupt_entry_is_miss () =
   let c = compile_ok ~cache:(Cache.create ~dir ()) (src ()) in
   Alcotest.(check int) "corrupt entries all miss" 0 c.Pipeline.cache_hits
 
-(* The format version is the only type witness of a stored value.  An
-   entry written by the "/1" format, whose Zint was an all-limbs
-   record, must be a miss under the current key, never decoded as the
-   current Zint. *)
-type v1_zint = { sign : int; mag : int array }
+(* The build id is the only type witness of a stored value.  An entry
+   written under another build's id — here one whose Zint was an
+   all-limbs record — must be a miss under the current key, never
+   decoded as the current Zint. *)
+type old_zint = { sign : int; mag : int array }
 
-let test_v1_entry_is_miss () =
+let test_other_build_entry_is_miss () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "emsc-test-v1-%d" (Unix.getpid ()))
+      (Printf.sprintf "emsc-test-build-%d" (Unix.getpid ()))
   in
   let cache = Cache.create ~dir () in
-  let v1_key =
+  let key_under build =
     Digest.to_hex
-      (Digest.string
-         (String.concat "\x00" [ "emsc-driver-cache/1"; "d"; "plan"; "" ]))
+      (Digest.string (String.concat "\x00" [ build; "d"; "plan"; "" ]))
   in
   let key = Cache.key ~digest:"d" ~stage:"plan" ~extra:"" in
-  Alcotest.(check bool) "key differs from the /1 key" true (key <> v1_key);
-  let oc = open_out_bin (Filename.concat dir v1_key) in
+  Alcotest.(check string) "the key is made from this build's id" key
+    (key_under Emsc_driver.Build_id.id);
+  let other_key = key_under ("other-" ^ Emsc_driver.Build_id.id) in
+  Alcotest.(check bool) "another build keys differently" true (key <> other_key);
+  let oc = open_out_bin (Filename.concat dir other_key) in
   Marshal.to_channel oc { sign = -1; mag = [| 5 |] } [];
   close_out oc;
-  Alcotest.(check (option string)) "/1 entry not found under current key"
+  Alcotest.(check (option string)) "other build's entry not found"
     None (Option.map Emsc_arith.Zint.to_string (Cache.find cache ~key));
   let v, hit = Cache.memo cache ~key (fun () -> Emsc_arith.Zint.of_int (-5)) in
   Alcotest.(check bool) "memo recomputes" false hit;
@@ -249,27 +251,24 @@ let test_lru_recency_order () =
   Alcotest.(check int) "one eviction" 1 (Cache.evictions cache)
 
 let test_lru_eviction_metrics () =
-  Emsc_obs.Metrics.reset ();
-  Emsc_obs.Metrics.enable ();
+  Emsc_obs.Prof.reset ();
+  Emsc_obs.Prof.enable ();
   let finally () =
-    Emsc_obs.Metrics.disable ();
-    Emsc_obs.Metrics.reset ()
+    Emsc_obs.Prof.disable ();
+    Emsc_obs.Prof.reset ()
   in
   Fun.protect ~finally (fun () ->
     let cache = Cache.in_memory ~max_entries:2 () in
     for i = 0 to 9 do
       ignore (Cache.memo cache ~key:(string_of_int i) (fun () -> i))
     done;
-    let snap = Emsc_obs.Metrics.snapshot () in
     let evictions =
-      List.find_map
-        (fun (s : Emsc_obs.Metrics.sample) ->
-          match s.Emsc_obs.Metrics.m_value with
-          | Emsc_obs.Metrics.Counter v
-            when s.Emsc_obs.Metrics.m_name = "driver.cache.evictions" ->
-            Some v
-          | _ -> None)
-        snap.Emsc_obs.Metrics.samples
+      match
+        Emsc_obs.Metrics.find (Emsc_obs.Metrics.snapshot ())
+          "driver.cache.evictions"
+      with
+      | Some (Emsc_obs.Metrics.Counter v) -> Some v
+      | _ -> None
     in
     Alcotest.(check (option (float 0.0))) "evictions in the registry"
       (Some 8.0) evictions)
@@ -552,8 +551,8 @@ let () =
           Alcotest.test_case "disk persistence" `Quick test_disk_persistence;
           Alcotest.test_case "corrupt entry is a miss" `Quick
             test_corrupt_entry_is_miss;
-          Alcotest.test_case "format /1 entry is a miss" `Quick
-            test_v1_entry_is_miss;
+          Alcotest.test_case "entry from another build is a miss" `Quick
+            test_other_build_entry_is_miss;
           Alcotest.test_case "failing writer leaks no tmp file" `Quick
             test_failing_writer_leaves_no_tmp ] );
       ( "lru",

@@ -319,44 +319,42 @@ let test_ndjson_flush () =
 (* ------------------------------------------------------------------ *)
 
 let with_metrics f =
-  Metrics.reset ();
-  Metrics.set_clock (fun () -> 12.0);
-  Metrics.enable ();
+  Prof.reset ();
+  Prof.set_clock (fun () -> 12.0);
+  Prof.enable ();
   Fun.protect f ~finally:(fun () ->
-    Metrics.disable ();
-    Metrics.reset ();
-    Metrics.use_default_clock ())
+    Prof.disable ();
+    Prof.reset ();
+    Prof.use_default_clock ())
 
 let test_metrics_disabled () =
-  Metrics.reset ();
-  Metrics.disable ();
-  Metrics.counter "c" 1.0;
-  Metrics.gauge "g" 2.0;
-  Metrics.gauge_max "m" 3.0;
-  Metrics.observe "h" 4.0;
+  Prof.reset ();
+  Prof.disable ();
+  Prof.add "c" 1.0;
+  Prof.gauge_max "m" 3.0;
+  Prof.observe "h" 4.0;
   let snap = Metrics.snapshot () in
   Alcotest.(check int) "metrics-off snapshot is empty" 0
     (List.length snap.Metrics.samples)
 
 let test_metrics_updates () =
   with_metrics (fun () ->
-    Metrics.counter "c" 2.0;
-    Metrics.counter "c" 3.0;
-    Metrics.counter ~labels:[ ("b", "2"); ("a", "1") ] "c" 1.0;
-    Metrics.gauge "g" 9.0;
-    Metrics.gauge "g" 5.0;
-    Metrics.gauge_max "m" 2.0;
-    Metrics.gauge_max "m" 7.0;
-    Metrics.gauge_max "m" 3.0;
-    Metrics.observe "h" 1.0;
-    Metrics.observe "h" 1000.0;
-    Metrics.observe "h" 0.0;
+    Prof.add "c" 2.0;
+    (* the view sums a value over the label stacks it was recorded
+       under *)
+    Prof.probe "p" (fun () -> Prof.add "c" 3.0);
+    Prof.add ~labels:[ ("b", "2"); ("a", "1") ] "c" 1.0;
+    Prof.gauge_max "m" 2.0;
+    Prof.probe "p" (fun () -> Prof.gauge_max "m" 7.0);
+    Prof.gauge_max "m" 3.0;
+    Prof.observe "h" 1.0;
+    Prof.probe "p" (fun () -> Prof.observe "h" 1000.0);
+    Prof.observe "h" 0.0;
     let snap = Metrics.snapshot () in
     check (Alcotest.float 0.0) "counter" 5.0 (Metrics.counter_value snap "c");
     (* label order is canonicalized *)
     check (Alcotest.float 0.0) "labeled counter" 1.0
       (Metrics.counter_value ~labels:[ ("a", "1"); ("b", "2") ] snap "c");
-    checkb "gauge keeps last" true (Metrics.find snap "g" = Some (Metrics.Gauge 5.0));
     checkb "gauge_max keeps max" true
       (Metrics.find snap "m" = Some (Metrics.Gauge 7.0));
     (match Metrics.find snap "h" with
@@ -374,14 +372,14 @@ let test_metrics_updates () =
 
 let test_metrics_diff () =
   with_metrics (fun () ->
-    Metrics.counter "c" 10.0;
-    Metrics.gauge "g" 1.0;
-    Metrics.observe "h" 4.0;
+    Prof.add "c" 10.0;
+    Prof.gauge_max "g" 1.0;
+    Prof.observe "h" 4.0;
     let snap0 = Metrics.snapshot () in
-    Metrics.counter "c" 2.5;
-    Metrics.gauge "g" 8.0;
-    Metrics.observe "h" 4.0;
-    Metrics.counter "fresh" 1.0;
+    Prof.add "c" 2.5;
+    Prof.gauge_max "g" 8.0;
+    Prof.observe "h" 4.0;
+    Prof.add "fresh" 1.0;
     let d = Metrics.diff snap0 (Metrics.snapshot ()) in
     check (Alcotest.float 0.0) "counter delta" 2.5 (Metrics.counter_value d "c");
     check (Alcotest.float 0.0) "fresh counter" 1.0
@@ -395,9 +393,9 @@ let test_metrics_diff () =
       checkb "hist delta buckets" true (buckets = [ (2, 1) ])
     | _ -> Alcotest.fail "h missing from diff")
 
-(* the registry is shared mutable state behind one mutex: four domains
-   hammering the same cells must lose no update — the totals are exact,
-   not approximate *)
+(* each domain records into its own tables without a lock, and the
+   snapshot merges them: four domains hammering the same names must
+   lose no update — the totals are exact, not approximate *)
 let test_metrics_parallel () =
   with_metrics (fun () ->
     let domains = 4 and iters = 5000 in
@@ -405,9 +403,9 @@ let test_metrics_parallel () =
       List.init domains (fun d ->
         Domain.spawn (fun () ->
           for i = 1 to iters do
-            Metrics.counter "par.c" 1.0;
-            Metrics.gauge_max "par.m" (float_of_int ((d * iters) + i));
-            Metrics.observe "par.h" 1.0
+            Prof.add "par.c" 1.0;
+            Prof.gauge_max "par.m" (float_of_int ((d * iters) + i));
+            Prof.observe "par.h" 1.0
           done))
     in
     List.iter Domain.join workers;

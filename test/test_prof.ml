@@ -50,7 +50,10 @@ let test_disabled_records_nothing () =
   checki "wrap2 still runs the function" 42 (Prof.wrap2 "na" na2_impl 40 2);
   ignore (Prof.probe "p" (fun () -> 7));
   Prof.add "c" 1.0;
+  Prof.gauge_max "g" 1.0;
+  Prof.observe "h" 1.0;
   checki "nothing recorded while disabled" 0 (List.length (Prof.snapshot ()));
+  checki "no values while disabled" 0 (List.length (Prof.values ()));
   checks "collapsed is empty" "" (Prof.collapsed (Prof.snapshot ()))
 
 let test_disabled_no_allocation () =
@@ -60,11 +63,17 @@ let test_disabled_no_allocation () =
   ignore (Prof.wrap "prof.na" na_impl 0);
   ignore (Prof.wrap2 "prof.na2" na2_impl 0 1);
   Prof.add "prof.na.counter" 1.0;
+  let labels = [ ("k", "v") ] in
   let w0 = Gc.minor_words () in
   for i = 0 to 99_999 do
     ignore (Prof.wrap "prof.na" na_impl i);
     ignore (Prof.wrap2 "prof.na2" na2_impl i 1);
-    Prof.add "prof.na.counter" 1.0
+    Prof.add "prof.na.counter" 1.0;
+    Prof.add ~labels "prof.na.counter" 1.0;
+    Prof.gauge_max "prof.na.gauge" 1.0;
+    Prof.gauge_max ~labels "prof.na.gauge" 1.0;
+    Prof.observe "prof.na.hist" 1.0;
+    Prof.observe ~labels "prof.na.hist" 1.0
   done;
   let dw = Gc.minor_words () -. w0 in
   checkb (Printf.sprintf "no allocation when disabled (%.0f words)" dw) true
@@ -104,6 +113,28 @@ let test_caller_attribution_and_self_time () =
     in
     checki "pass calls summed across callers" 2 inner_pass.Prof.p_calls;
     checkf "pass self summed across callers" 0.002 inner_pass.Prof.p_self_s)
+
+(* one table, two views: a frame reads each counter under its stack
+   summed over labels, the Metrics view reads it per label summed over
+   stacks *)
+let test_labeled_counter_both_views () =
+  with_prof (fun () ->
+    Prof.probe "outer" (fun () ->
+      Prof.add ~labels:[ ("ch", "0") ] "words" 3.0;
+      Prof.add ~labels:[ ("ch", "1") ] "words" 4.0;
+      Prof.probe "inner" (fun () -> Prof.add ~labels:[ ("ch", "1") ] "words" 5.0));
+    Prof.add ~labels:[ ("ch", "0") ] "words" 1.0;
+    let prof = Prof.snapshot () in
+    checkf "outer frame sums its labels" 7.0
+      (List.assoc "words" (frame prof [ "outer" ]).Prof.f_counters);
+    checkf "inner frame keeps its own" 5.0
+      (List.assoc "words" (frame prof [ "outer"; "inner" ]).Prof.f_counters);
+    let snap = Metrics.snapshot () in
+    checkf "ch0 over stacks, the empty one included" 4.0
+      (Metrics.counter_value ~labels:[ ("ch", "0") ] snap "words");
+    checkf "ch1 over stacks" 9.0
+      (Metrics.counter_value ~labels:[ ("ch", "1") ] snap "words");
+    checkb "no unlabeled sample" true (Metrics.find snap "words" = None))
 
 let test_exception_still_records () =
   with_prof (fun () ->
@@ -262,16 +293,10 @@ let test_suite_solver_work_pinned () =
 (* ------------------------------------------------------------------ *)
 
 let test_metrics_quantiles () =
-  Metrics.reset ();
-  Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.disable ();
-      Metrics.reset ())
-    (fun () ->
+  with_prof (fun () ->
       (* values 1..8 fill buckets 0..3 as 1,1,2,4 observations *)
       for v = 1 to 8 do
-        Metrics.observe "q" (float_of_int v)
+        Prof.observe "q" (float_of_int v)
       done;
       let h =
         match Metrics.find (Metrics.snapshot ()) "q" with
@@ -418,6 +443,8 @@ let () =
       ( "hierarchy",
         [ Alcotest.test_case "caller attribution and self time" `Quick
             test_caller_attribution_and_self_time;
+          Alcotest.test_case "labeled counter in both views" `Quick
+            test_labeled_counter_both_views;
           Alcotest.test_case "exception still records" `Quick
             test_exception_still_records;
           Alcotest.test_case "args thunk only with the tree" `Quick

@@ -636,6 +636,37 @@ let test_lanes_reused_across_runs () =
   Unix.sleepf Lane.linger_s;
   Alcotest.(check int) "idle lanes retire" 0 (lanes_after_retirement ())
 
+(* the DMA lanes' tallies are recorded once, per channel: the
+   [runtime.run] frame reads their sum and the Metrics view reads each
+   channel, and the two agree *)
+let test_dma_words_in_both_views () =
+  let module P = Emsc_obs.Prof in
+  let module M = Emsc_obs.Metrics in
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  P.reset ();
+  P.enable ();
+  Fun.protect ~finally:(fun () -> P.disable (); P.reset ()) @@ fun () ->
+  ignore (run_par c);
+  let name = "runtime.dma.move_in_words" in
+  let in_frames =
+    List.fold_left (fun acc (fr : P.frame) ->
+      if List.nth fr.P.f_stack (List.length fr.P.f_stack - 1) = "runtime.run"
+      then acc +. Option.value ~default:0.0 (List.assoc_opt name fr.P.f_counters)
+      else acc)
+      0.0 (P.snapshot ())
+  in
+  let per_channel =
+    List.filter_map (fun (s : M.sample) ->
+      match s.M.m_value with
+      | M.Counter v when s.M.m_name = name -> Some v
+      | _ -> None)
+      (M.snapshot ()).M.samples
+  in
+  Alcotest.(check int) "one sample per channel" 2 (List.length per_channel);
+  Alcotest.(check bool) "words moved" true (in_frames > 0.0);
+  Alcotest.(check (float 0.0)) "frame = sum over channels" in_frames
+    (List.fold_left ( +. ) 0.0 per_channel)
+
 (* block i of a 4-block launch evaluates a guard [2^61 * i >= 0], whose
    checked arithmetic overflows for i >= 2: a Failure raised inside a
    worker job, on both workers at -j2 *)
@@ -821,6 +852,8 @@ let () =
           Alcotest.test_case "failed run leaves crew usable" `Quick
             test_failed_run_leaves_crew_usable;
           Alcotest.test_case "concurrent runs" `Quick test_concurrent_runs;
+          Alcotest.test_case "dma words in both views" `Quick
+            test_dma_words_in_both_views;
           Alcotest.test_case "resident set flat in runs" `Quick
             test_rss_flat_in_runs ] );
       ( "oracle",

@@ -499,11 +499,11 @@ let test_draining_rejects_new_work () =
 (* --- latency metrics --------------------------------------------------- *)
 
 let test_request_metrics_recorded () =
-  Emsc_obs.Metrics.reset ();
-  Emsc_obs.Metrics.enable ();
+  Emsc_obs.Prof.reset ();
+  Emsc_obs.Prof.enable ();
   let finally () =
-    Emsc_obs.Metrics.disable ();
-    Emsc_obs.Metrics.reset ()
+    Emsc_obs.Prof.disable ();
+    Emsc_obs.Prof.reset ()
   in
   Fun.protect ~finally @@ fun () ->
   with_server ~workers:1 @@ fun addr ->
@@ -528,6 +528,11 @@ let test_request_metrics_recorded () =
         else None)
       snap.Emsc_obs.Metrics.samples
   in
+  (* one client waits for each reply, so the queue never held more
+     than the request it just pushed *)
+  Alcotest.(check bool) "peak queue depth" true
+    (Emsc_obs.Metrics.find snap "serve.queue_depth"
+     = Some (Emsc_obs.Metrics.Gauge 1.0));
   (match histogram "serve.queue_ms" with
    | Some (_, count) -> Alcotest.(check int) "queue_ms observations" 5 count
    | None -> Alcotest.fail "no serve.queue_ms histogram");
