@@ -79,10 +79,10 @@ let bench_notes : J.t list ref = ref []
    runtime section gates) *)
 let runtime_wall : (string * float) list ref = ref []
 
-(* per-kernel runtime report from one extra events-on double-buffered
-   run (untimed, so instrumentation never pollutes runtime_wall_ms),
-   each with its nested overlap audit; becomes the artifact's
-   top-level [runtime_report] object — what bench-compare's
+(* per-kernel runtime report from one extra double-buffered run with
+   its timeline recorded (untimed, so instrumentation never pollutes
+   runtime_wall_ms), each with its nested overlap audit; becomes the
+   artifact's top-level [runtime_report] object — what bench-compare's
    overlap-fail gate reads *)
 let runtime_reports : (string * J.t) list ref = ref []
 
@@ -742,16 +742,17 @@ let record_runtime ~kernel ~series ms =
   runtime_wall := (kernel ^ "." ^ series, ms) :: !runtime_wall;
   record_point ~fig:"runtime" ~series:kernel ~x:series ms
 
-(* one events-on run per kernel, outside the timed series: build the
-   runtime report, audit achieved overlap against the model bound, and
-   fail the whole bench on an unsound accounting (achieved above the
-   bound) — a Warn (host couldn't deliver the overlap, e.g. 1-core CI)
-   is recorded but does not fail *)
+(* one timeline-recording run per kernel, outside the timed series:
+   build the runtime report, audit achieved overlap against the model
+   bound, and fail the whole bench on an unsound accounting (achieved
+   above the bound) — a Warn (host couldn't deliver the overlap, e.g.
+   1-core CI) is recorded but does not fail *)
 let record_runtime_report ~kernel run =
   let module O = Emsc_audit.Overlap in
   let _, report = Runner.with_runtime_report run in
   match report with
-  | None -> failwith ("bench: runtime: " ^ kernel ^ " produced no events")
+  | None ->
+    failwith ("bench: runtime: " ^ kernel ^ " recorded no runtime timeline")
   | Some r ->
     let a = O.audit ~double_buffer:true r in
     let fields =

@@ -51,11 +51,11 @@ let with_trace trace f =
     Prof.enable_tree ();
     Fun.protect
       ~finally:(fun () ->
-        (* tracing must not destroy the command's result; the merged
-           export appends runtime tracks (per-domain timelines, DMA
-           lanes) when the command recorded events, and is exactly the
-           span tree otherwise *)
-        (try Events.write_merged_chrome path
+        (* tracing must not destroy the command's result; the export
+           shows the runtime's lanes (per-domain timelines, DMA lanes,
+           arena occupancy) as their own tracks when the command ran
+           one, and is exactly the compile span tree otherwise *)
+        (try Runtime_report.write_chrome path
          with Sys_error e -> Printf.eprintf "emsc: cannot write trace: %s\n" e);
         Prof.disable_tree ();
         if not prof_was_on then Prof.disable ())
@@ -199,13 +199,14 @@ let backend_of b jobs : Runner.backend =
 let runtime_flag =
   Arg.(value & flag
        & info [ "runtime" ]
-           ~doc:"Record runtime execution events (implies --backend \
-                 parallel) and report the analysis: per-domain \
+           ~doc:"Record the runtime's timeline as spans (implies \
+                 --backend parallel) and report the analysis: per-domain \
                  busy/idle/DMA-wait breakdown, achieved DMA-compute overlap, \
                  scratchpad occupancy, critical path, plus the overlap \
                  audit against the double-buffer timing model.  With \
                  --trace, the Chrome export gains one track per worker \
-                 domain and per DMA lane, merged with the compile spans.")
+                 domain and per DMA lane plus an arena occupancy track, \
+                 beside the compile spans.")
 
 (* matmul-style default tiling when --runtime is given without tile
    flags: 16-blocks with 4-thread tiles on the outer dimensions, the

@@ -52,7 +52,7 @@ let runtime_section j =
 
 (* kernel -> overlap-audit failure indicator (1.0 when the runtime
    report's overlap audit failed, 0.0 otherwise); absent in artifacts
-   that predate the events layer, so absence is an empty section and
+   that predate the runtime report, so absence is an empty section and
    new reports surface as "added", never as a regression *)
 let report_section j =
   match J.member "runtime_report" j with

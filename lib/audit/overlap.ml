@@ -14,7 +14,7 @@ type t = {
   o_verdict : Audit.verdict;
 }
 
-(* interval endpoints come from one clock read per event boundary;
+(* interval endpoints come from one clock read per span boundary;
    5% absorbs rounding without masking a broken union sweep *)
 let default_tolerance = 0.05
 

@@ -188,18 +188,9 @@ let simulate ?(mode = Exec.Sampled 6) ?(memory = Phantom) ?param_env
        execute ~prog ?local_ref ~locals ~mode ~memory ?param_env ?on_global
          harness)
 
-(* Record runtime events around [f] and analyze them.  Draining is
-   non-destructive, so a later [Events.write_merged_chrome] still sees
-   the run's tracks; [reset] beforehand keeps one profiled run per
-   report.  The previous enabled state is restored on exit. *)
-let with_runtime_report ?capacity f =
-  let was_on = Events.enabled () in
-  Events.reset ();
-  Events.enable ?capacity ();
-  Fun.protect ~finally:(fun () -> if not was_on then Events.disable ())
-  @@ fun () ->
-  let result = f () in
-  (result, Runtime_report.build (Events.drain ()))
+let with_runtime_report f =
+  let result, roots = Prof.collect f in
+  (result, Runtime_report.build roots)
 
 let reference ?memory ?(param_env = no_params) ?on_global (p : Prog.t) =
   let m = prepare ?memory ~param_env p in

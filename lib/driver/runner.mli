@@ -4,7 +4,9 @@
     {!simulate} runs a compiled kernel on the simulated machine; {!reference} runs the original program on the exact
     reference interpreter; {!execute} is the generic form for kernels
     produced outside the plan pipeline (e.g. the overlapped stencil
-    tiler). *)
+    tiler); {!with_runtime_report} records a parallel run's timeline as
+    {!Emsc_obs.Prof} spans and reads it back as a
+    {!Emsc_obs.Runtime_report}. *)
 
 open Emsc_arith
 open Emsc_ir
@@ -95,15 +97,15 @@ val simulate :
     band to schedule). *)
 
 val with_runtime_report :
-  ?capacity:int ->
-  (unit -> 'a) ->
-  'a * Emsc_obs.Runtime_report.t option
-(** Record {!Emsc_obs.Events} around [f] — reset, enable (optionally
-    with a ring [capacity]), run, drain, analyze.  [None] when [f]
-    produced no runtime events (e.g. a sequential run).  Event
-    recording is restored to its previous state afterwards; the drained
-    rings are kept, so {!Emsc_obs.Events.write_merged_chrome} called
-    later still exports this run's tracks. *)
+  (unit -> 'a) -> 'a * Emsc_obs.Runtime_report.t option
+(** Run [f] under {!Emsc_obs.Prof.collect} — probes and the span tree
+    on — and analyze the runtime timeline it recorded.  [None] when [f]
+    ran no parallel launch (e.g. a sequential run).  Both Prof flags
+    are restored afterwards.  Inside a session that keeps the span tree
+    (a [--trace] run), the run's spans stay for its Chrome export
+    ({!Emsc_obs.Runtime_report.write_chrome}); otherwise they are
+    dropped, so an enclosing session's frames and tree are left as
+    they were, apart from the frames and values [f] itself adds. *)
 
 val reference :
   ?memory:memory_kind ->

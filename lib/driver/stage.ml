@@ -30,7 +30,6 @@ let exec ?cache ~record st x =
     match cache with
     | Some (c, key) when Cache.enabled c ->
       let value, hit = Cache.memo c ~key (fun () -> st.run x) in
-      Prof.add (if hit then "cache.hit" else "cache.miss") 1.0;
       (value, true, hit)
     | _ -> (st.run x, false, false)
   in

@@ -1,9 +1,9 @@
 (* Hierarchical self-profiler and span tracer: the one probe substrate.
 
-   Same discipline as Events: disabled by default, and every entry
-   point tests one boolean first, so instrumented code costs nothing
-   measurable when profiling is off (the [wrap]/[wrap2] forms exist so
-   hot call-sites do not even allocate a closure).  When enabled, each
+   Disabled by default, and every entry point tests one boolean first,
+   so instrumented code costs nothing measurable when profiling is off
+   (the [wrap]/[wrap2] forms exist so hot call-sites do not even
+   allocate a closure).  When enabled, each
    probe pushes its label on a per-domain stack and feeds two sinks:
 
    - the aggregate, always on: (calls, errors, inclusive seconds)
@@ -19,9 +19,9 @@
    its counters per stack, summed over labels; [values] reads every
    value per (name, labels), merged over stacks and domains.
 
-   Domain-safe the same way Events is: each domain owns its state
-   (registered under a mutex on first probe), writers never share
-   cells, and [snapshot]/[values]/[roots] merge every domain's state
+   Domain-safe: each domain owns its state (registered under a mutex
+   on first probe), writers never share cells, and
+   [snapshot]/[values]/[roots]/[collect] read every domain's state
    after the caller has established a happens-before edge (joined its
    domains). *)
 
@@ -485,7 +485,37 @@ let roots () =
   List.concat_map (fun st -> List.rev st.d_root.o_children) (registered ())
   |> List.stable_sort (fun a b -> compare a.start_s b.start_s)
 
-let chrome_events () =
+(* the top-level spans [f] completed on every domain: on each state,
+   the children above the list it held before [f] (all of them on a
+   domain registered since) *)
+let collect f =
+  let was_on = !enabled_flag and tree_was_on = !tree_flag in
+  let before =
+    List.map (fun st -> (st, st.d_root.o_children)) (registered ())
+  in
+  let fresh st =
+    let old = Option.value ~default:[] (List.assq_opt st before) in
+    let rec above = function
+      | l when l == old -> []
+      | [] -> []
+      | n :: rest -> n :: above rest
+    in
+    let nodes = above st.d_root.o_children in
+    if not tree_was_on then st.d_root.o_children <- old;
+    List.rev nodes
+  in
+  let taken = ref [] in
+  enabled_flag := true;
+  tree_flag := true;
+  let result =
+    Fun.protect f ~finally:(fun () ->
+      enabled_flag := was_on;
+      tree_flag := tree_was_on;
+      taken := List.concat_map fresh (registered ()))
+  in
+  (result, List.stable_sort (fun a b -> compare a.start_s b.start_s) !taken)
+
+let chrome_events ?(pid = 1) ?(tid = 1) nodes =
   let events = ref [] in
   let rec emit n =
     let args =
@@ -498,14 +528,14 @@ let chrome_events () =
            ("ph", Json.Str "X");
            ("ts", Json.Float (n.start_s *. 1e6));
            ("dur", Json.Float (n.dur_s *. 1e6));
-           ("pid", Json.Int 1);
-           ("tid", Json.Int 1) ]
+           ("pid", Json.Int pid);
+           ("tid", Json.Int tid) ]
          @ (if args = [] then [] else [ ("args", Json.Obj args) ]))
     in
     events := ev :: !events;
     List.iter emit n.children
   in
-  List.iter emit (roots ());
+  List.iter emit nodes;
   List.rev !events
 
 (* force-enable from the environment, so an unmodified binary (the

@@ -10,18 +10,19 @@
     the number of distinct label stacks, never by the call count.
 
     The same probes optionally feed a second sink, the span tree
-    ({!enable_tree}): one timed node per probe with its args and
-    counters, exported as Chrome [trace_event] JSON by
-    {!Events.merged_chrome_json}.  Its memory grows with the call
-    count, so only a single traced command turns it on.
+    ({!enable_tree}, or {!collect} around one region): one timed node
+    per probe with its args and counters, exported as Chrome
+    [trace_event] JSON by {!Runtime_report.chrome_json}, which also
+    reads the runtime's per-domain timeline from it.  Its memory grows
+    with the call count, so only a single traced command turns it on.
 
     Labeled values (counters, gauge-max, log2 histograms) are recorded
     under the current label stack too, switched by the same flag.  A
     {!frame} reads its stack's counters summed over labels; {!values}
     (rendered by {!Metrics}) reads every value summed over stacks.
 
-    Follows the [Events] discipline: disabled by default, every entry
-    point tests one boolean first, and the disabled path of the
+    Disabled by default, every entry point tests one boolean first,
+    and the disabled path of the
     [wrap]/[wrap2]/[add]/[gauge_max]/[observe] forms performs no
     allocation — safe to leave in the hottest loops.  Domain-safe: each
     domain owns its own stack and tables; [snapshot], [values] and
@@ -188,7 +189,21 @@ val roots : unit -> node list
 (** Completed top-level spans of every domain, in start order.  Open
     spans are not included. *)
 
-val chrome_events : unit -> Json.t list
-(** One complete (["ph":"X"]) Chrome [trace_event] per span, pid 1,
-    depth first; timestamps and durations in microseconds, counters
-    merged after the args in the event's [args]. *)
+val collect : (unit -> 'a) -> 'a * node list
+(** [collect f] runs [f] with probes and the span tree on, and returns
+    the top-level spans completed during [f] on every domain, in start
+    order — among them the roots of jobs [f] ran on other domains.  Both
+    flags are restored afterwards, also when [f] raises.  When the tree
+    was off, these spans are then dropped from the retained tree, so
+    repeated calls retain none; when it was on, they stay for the
+    enclosing trace.  Frames and values [f] records stay in the
+    registry.  Establish a happens-before edge with the domains [f]
+    used (join them, or await their jobs) before [f] returns, and keep
+    other domains from probing meanwhile: their spans would be taken
+    too. *)
+
+val chrome_events : ?pid:int -> ?tid:int -> node list -> Json.t list
+(** One complete (["ph":"X"]) Chrome [trace_event] per span of the
+    given trees (say, {!roots}), depth first, on [pid]/[tid] (default
+    1/1); timestamps and durations in microseconds, counters merged
+    after the args in the event's [args]. *)

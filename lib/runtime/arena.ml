@@ -1,5 +1,4 @@
 open Emsc_machine
-module Ev = Emsc_obs.Events
 
 type pool = {
   m : Mutex.t;
@@ -12,9 +11,6 @@ type pool = {
   mutable words_in_use : int;
   mutable peak_in_use : int;
   occupancy : (string, int) Hashtbl.t;  (* per-buffer per-arena peak *)
-  mutable evr : Ev.ring option;
-      (* occupancy events; written only under [m], which satisfies the
-         ring's single-writer contract *)
 }
 
 type t = {
@@ -28,21 +24,15 @@ let create_pool ?max_arenas ?fork ~base () =
   { m = Mutex.create (); cv = Condition.create (); max_arenas; base;
     fork = (match fork with Some f -> f | None -> Memory.fork_view);
     free_views = []; in_use = 0; words_in_use = 0;
-    peak_in_use = 0; occupancy = Hashtbl.create 4; evr = None }
+    peak_in_use = 0; occupancy = Hashtbl.create 4 }
 
-let set_event_ring p r =
-  Mutex.lock p.m;
-  p.evr <- Some r;
-  Mutex.unlock p.m
-
-(* caller holds [p.m] *)
-let emit_occupancy p =
-  match p.evr with
-  | Some r when Ev.enabled () ->
-    let t = Ev.now () in
-    Ev.emit r ~t0:t ~t1:t
-      (Ev.Occupancy { words = p.words_in_use; arenas = p.in_use })
-  | _ -> ()
+(* caller holds [p.m]: a zero-length span samples the pool for the
+   runtime timeline's arena track *)
+let sample_occupancy p =
+  if Emsc_obs.Prof.enabled () then
+    Emsc_obs.Prof.probe "occupancy" ignore ~args:(fun () ->
+      [ ("words", Emsc_obs.Json.Int p.words_in_use);
+        ("arenas", Emsc_obs.Json.Int p.in_use) ])
 
 let has_room p =
   match p.max_arenas with Some k -> p.in_use < k | None -> true
@@ -62,7 +52,7 @@ let take_locked p words =
   p.in_use <- p.in_use + 1;
   p.words_in_use <- p.words_in_use + words;
   if p.in_use > p.peak_in_use then p.peak_in_use <- p.in_use;
-  emit_occupancy p;
+  sample_occupancy p;
   { pool = p; words; mem; released = false }
 
 let acquire p ~words =
@@ -108,7 +98,7 @@ let release a =
     p.free_views <- a.mem :: p.free_views;
     p.in_use <- p.in_use - 1;
     p.words_in_use <- p.words_in_use - a.words;
-    emit_occupancy p;
+    sample_occupancy p;
     Condition.broadcast p.cv
   end;
   Mutex.unlock p.m

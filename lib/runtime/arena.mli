@@ -5,8 +5,14 @@
     the block executing in the arena.  The pool enforces the machine's
     concurrent-blocks rule from [Timing.occupancy] (at most
     [max_arenas] held at once), tracks the words the held arenas
-    reserve for the occupancy samples, and recycles released views so
-    steady-state acquisition allocates nothing.
+    reserve, and recycles released views so steady-state acquisition
+    allocates nothing.
+
+    While {!Emsc_obs.Prof} is enabled, every reserve and release
+    records a zero-length [occupancy] span (args [words] and [arenas]
+    in use) on the calling domain, inside the pool's critical section
+    so the samples follow the pool's order; the runtime report shows
+    them on its [arena] track.
 
     Thread-safe: acquire/release may be called from any domain. *)
 
@@ -26,13 +32,6 @@ val create_pool :
     declared local buffer names.  [fork] (default
     {!Memory.fork_view}) creates each fresh view; tests inject a
     raising fork to exercise the pool's failure path. *)
-
-val set_event_ring : pool -> Emsc_obs.Events.ring -> unit
-(** Record an {!Emsc_obs.Events.Occupancy} sample (words and arenas in
-    use) on [r] at every reserve and release.  Samples are emitted
-    inside the pool's critical section, so the ring's single-writer
-    contract holds even though acquire/release run on many domains.
-    No-op cost when events are disabled. *)
 
 val acquire : pool -> words:int -> t
 (** Reserve an arena of [words] scratchpad words and hand out a view,

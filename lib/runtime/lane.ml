@@ -1,5 +1,3 @@
-module Ev = Emsc_obs.Events
-
 type ticket = {
   tm : Mutex.t;
   tcv : Condition.t;
@@ -16,8 +14,6 @@ type t = {
   mutable waiting : bool;  (* ...and lingers in [select] for a wake byte *)
   mutable stopping : bool;  (* process exit: retire without lingering *)
   mutable domain : unit Domain.t option;  (* the last domain spawned *)
-  mutable evr : Ev.ring option;
-      (* transfer events; written only by the lane's own domain *)
 }
 
 (* Long enough to bridge the gap between two launches or two runs,
@@ -36,8 +32,7 @@ let create () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let l =
     { m = Mutex.create (); queue = Queue.create (); wake_r; wake_w;
-      serving = false; waiting = false; stopping = false; domain = None;
-      evr = None }
+      serving = false; waiting = false; stopping = false; domain = None }
   in
   Mutex.protect registry_m (fun () -> registry := l :: !registry);
   l
@@ -80,23 +75,13 @@ let rec serve l =
       serve l
     end
 
-let set_event_ring l r = Mutex.protect l.m (fun () -> l.evr <- r)
-
-let submit ?event l f =
+let submit l f =
   let t =
     { tm = Mutex.create (); tcv = Condition.create (); finished = false;
       failure = None }
   in
   let job () =
-    (* [event] is evaluated after [f] on this lane's domain, so the
-       payload can read what the transfer produced and the ring write
-       stays single-writer *)
-    (match (l.evr, event) with
-     | Some r, Some mk when Ev.enabled () ->
-       let t0 = Ev.now () in
-       (try f () with e -> t.failure <- Some e);
-       Ev.emit r ~t0 (mk ())
-     | _ -> ( try f () with e -> t.failure <- Some e));
+    (try f () with e -> t.failure <- Some e);
     Mutex.lock t.tm;
     t.finished <- true;
     Condition.broadcast t.tcv;

@@ -33,19 +33,12 @@ val linger_s : float
 val live : unit -> int
 (** Lanes of this process whose domain is currently alive. *)
 
-val set_event_ring : t -> Emsc_obs.Events.ring option -> unit
-(** Attach (or, with [None], detach) an event ring — a DMA lane in the
-    merged trace.  Set it before the run's first [submit]; the lane's
-    own domain is the ring's only writer. *)
-
-val submit :
-  ?event:(unit -> Emsc_obs.Events.data) -> t -> (unit -> unit) -> ticket
+val submit : t -> (unit -> unit) -> ticket
 (** Queue a job, spawning the lane's domain if it has retired (counted
-    by the Prof counter [runtime.domain_spawns]).  [event], when given
-    and a ring is attached and events are enabled, is evaluated on the
-    lane's domain after the job runs — its result is recorded spanning
-    the job's execution, and may read state the job produced (e.g. the
-    words it moved). *)
+    by the Prof counter [runtime.domain_spawns]).  The job runs on the
+    lane's domain, so the probes it opens are roots of that domain's
+    Prof stack; the runtime roots each job at a [runtime.worker] or
+    [runtime.dma] span, the tracks of its timeline. *)
 
 val await : ticket -> unit
 (** Block until the job has run; re-raise its exception, if any. *)

@@ -1,7 +1,8 @@
 open Emsc_arith
 open Emsc_codegen
 open Emsc_machine
-module Ev = Emsc_obs.Events
+module Prof = Emsc_obs.Prof
+module J = Emsc_obs.Json
 
 type cfg = {
   jobs : int;
@@ -146,19 +147,27 @@ let checkin jobs c =
   let rest = Option.value ~default:[] (Hashtbl.find_opt free_crews jobs) in
   Hashtbl.replace free_crews jobs (c :: rest)
 
+(* a lane job rooted at the span [name] ([runtime.worker] or
+   [runtime.dma]), whose arg [key] names its track in the runtime
+   timeline; a plain call with probes off *)
+let lane_job name key i f () =
+  if not (Prof.enabled ()) then f ()
+  else Prof.probe name f ~args:(fun () -> [ (key, J.Int i) ])
+
 (* run [f 0 .. f (jobs-1)], [f w] on worker lane [w], to completion;
    re-raise the first worker exception once every worker is done, and
    a failed submit (a domain that could not be spawned) once the jobs
-   already queued are.  The probe roots a worker's Prof stack, so what
-   it records (arena waits, DMA lane spawns) is attributed. *)
+   already queued are.  The [runtime.worker] span roots a worker's Prof
+   stack, so what it records (blocks, arena waits, DMA lane spawns) is
+   attributed. *)
 let dispatch crew f =
   let queued = ref [] in
   match
     Array.iteri
       (fun w lane ->
         queued :=
-          Lane.submit lane (fun () ->
-            Emsc_obs.Prof.probe "runtime.worker" (fun () -> f w))
+          Lane.submit lane
+            (lane_job "runtime.worker" "worker" w (fun () -> f w))
           :: !queued)
       crew.workers
   with
@@ -228,15 +237,10 @@ type rt = {
   totals : Exec.counters;
   run_dma : Exec.dma_tally;
   chan_stats : chan_stat array;
-  ev : Ev.ring array option;
-      (* per-worker exec rings; [None] when events are disabled, so
-         the hot path tests one option and allocates nothing *)
   mutable launch_seq : int;
   mutable launches : Exec.launch list;
   mutable blocks_run : int;
 }
-
-let ev_ring rt w = match rt.ev with Some a -> Some a.(w) | None -> None
 
 let sum_words moved = List.fold_left (fun a (_, w) -> a +. w) 0.0 moved
 
@@ -253,20 +257,14 @@ let block_hook rt tracker i =
         | Some tr -> tracker_record tr i arr addr kind
         | None -> ())
 
-let acquire_arena ?er rt =
-  Emsc_obs.Prof.probe "runtime.arena_acquire" @@ fun () ->
-  match er with
-  | Some r when Ev.enabled () ->
-    (* records the wait for pool capacity; ~0-length when the pool has
-       room immediately *)
-    let t0 = Ev.now () in
-    let a = Arena.acquire rt.apool ~words:rt.cfg.block_words in
-    Ev.emit r ~t0 Ev.Arena_wait;
-    a
-  | _ -> Arena.acquire rt.apool ~words:rt.cfg.block_words
+(* the wait for pool capacity; ~0-length when the pool has room *)
+let acquire_arena rt =
+  Prof.wrap "arena-wait"
+    (fun rt -> Arena.acquire rt.apool ~words:rt.cfg.block_words)
+    rt
 
 type launch_slots = {
-  launch_id : int;  (* tags events so the report can group by launch *)
+  launch_id : int;  (* tags spans so the report can group by launch *)
   tasks : (string * Zint.t) list array;
   host_bindings : (string * Zint.t) list;  (* outer-first *)
   in_slots : Exec.block_outcome option array;
@@ -280,10 +278,39 @@ let task_bindings st i =
      scope first, then the block chain, innermost last *)
   st.host_bindings @ List.rev st.tasks.(i)
 
-let run_phase rt st hook i ~memory phase =
+let block_args st i () =
+  [ ("launch", J.Int st.launch_id); ("block", J.Int i) ]
+
+(* the timeline span a block phase runs under *)
+type span = Block | Compute | Dma_in | Dma_out
+
+let exec_phase rt st hook i ~memory phase =
   let bindings = task_bindings st i in
   Exec.run_block ~memory ?on_global:(hook i) ~collect_dma:rt.collect_dma
     ~bindings phase
+
+(* phase [phase] of block [i] under its timeline span; a DMA span also
+   counts the words the phase staged, once the transfer is done.  With
+   probes off, a direct call that allocates nothing for the span. *)
+let run_phase rt st hook i ~memory span phase =
+  if not (Prof.enabled ()) then exec_phase rt st hook i ~memory phase
+  else begin
+    let name =
+      match span with
+      | Block -> "block"
+      | Compute -> "compute"
+      | Dma_in -> "dma-in"
+      | Dma_out -> "dma-out"
+    in
+    Prof.probe name ~args:(block_args st i) @@ fun () ->
+    let o = exec_phase rt st hook i ~memory phase in
+    let dma = o.Exec.b_dma in
+    (match span with
+     | Dma_in -> Prof.add "words" (sum_words dma.Exec.moved_in)
+     | Dma_out -> Prof.add "words" (sum_words dma.Exec.moved_out)
+     | Block | Compute -> ());
+    o
+  end
 
 (* The one schedule: tasks are partitioned into chains, and chain [c]
    runs on worker [c mod jobs] in ONE arena.  A chain is a single block
@@ -298,7 +325,6 @@ let run_phase rt st hook i ~memory phase =
 let exec_chains rt st hook body chain_id w =
   let n = Array.length st.tasks in
   let jobs = rt.cfg.jobs in
-  let er = ev_ring rt w in
   let arena = ref None in
   let release_current () =
     match !arena with
@@ -314,17 +340,11 @@ let exec_chains rt st hook body chain_id w =
     if c mod jobs = w then begin
       if c <> !prev_chain then begin
         release_current ();
-        arena := Some (acquire_arena ?er rt);
+        arena := Some (acquire_arena rt);
         prev_chain := c
       end;
       let memory = Arena.memory (Option.get !arena) in
-      (match er with
-       | Some r when Ev.enabled () ->
-         let t0 = Ev.now () in
-         st.core_slots.(i) <- Some (run_phase rt st hook i ~memory body);
-         Ev.emit r ~t0
-           (Ev.Block { launch = st.launch_id; block = i; phase = Ev.Whole })
-       | _ -> st.core_slots.(i) <- Some (run_phase rt st hook i ~memory body));
+      st.core_slots.(i) <- Some (run_phase rt st hook i ~memory Block body);
       st.chan_of.(i) <- w
     end
   done
@@ -375,13 +395,9 @@ let exec_pipelined rt st hook (ins, core, outs) w =
       else None
   in
   let lane = rt.crew.dmas.(w) in
-  let er = ev_ring rt w in
   let queued = ref [] and taken = ref [] in
-  let submit ~event f =
-    (* [event] is only built when the lane has a ring and events are on *)
-    let t =
-      Lane.submit lane ~event (fun () -> Emsc_obs.Prof.probe "runtime.dma" f)
-    in
+  let submit f =
+    let t = Lane.submit lane (lane_job "runtime.dma" "channel" w f) in
     queued := t :: !queued;
     t
   in
@@ -390,18 +406,10 @@ let exec_pipelined rt st hook (ins, core, outs) w =
     a
   in
   let stage i arena =
-    let run () =
-      st.in_slots.(i) <-
-        Some (run_phase rt st hook i ~memory:(Arena.memory arena) ins)
-    in
     let t =
-      submit run ~event:(fun () ->
-        let words =
-          match st.in_slots.(i) with
-          | Some o -> sum_words o.Exec.b_dma.Exec.moved_in
-          | None -> 0.0
-        in
-        Ev.Dma_transfer { launch = st.launch_id; block = i; dir = `In; words })
+      submit (fun () ->
+        st.in_slots.(i) <-
+          Some (run_phase rt st hook i ~memory:(Arena.memory arena) Dma_in ins))
     in
     (i, arena, t)
   in
@@ -415,46 +423,27 @@ let exec_pipelined rt st hook (ins, core, outs) w =
         | Some a -> Some (`Staged (stage j (take a)))
         | None -> Some (`Plain j))
     in
-    (match er with
-     | Some r when Ev.enabled () ->
-       let t0 = Ev.now () in
-       Lane.await tin;
-       Ev.emit r ~t0 (Ev.Dma_wait { launch = st.launch_id; block = i })
-     | _ -> Lane.await tin);
-    (match er with
-     | Some r when Ev.enabled () ->
-       let t0 = Ev.now () in
-       st.core_slots.(i) <-
-         Some (run_phase rt st hook i ~memory:(Arena.memory arena) core);
-       Ev.emit r ~t0
-         (Ev.Block { launch = st.launch_id; block = i; phase = Ev.Compute })
-     | _ ->
-       st.core_slots.(i) <-
-         Some (run_phase rt st hook i ~memory:(Arena.memory arena) core));
+    if not (Prof.enabled ()) then Lane.await tin
+    else
+      Prof.probe "dma-wait" ~args:(block_args st i) (fun () -> Lane.await tin);
+    st.core_slots.(i) <-
+      Some (run_phase rt st hook i ~memory:(Arena.memory arena) Compute core);
     st.chan_of.(i) <- w;
-    let run_out () =
-      Fun.protect ~finally:(fun () -> Arena.release arena) @@ fun () ->
-      st.out_slots.(i) <-
-        Some (run_phase rt st hook i ~memory:(Arena.memory arena) outs)
-    in
     ignore
-      (submit run_out ~event:(fun () ->
-         let words =
-           match st.out_slots.(i) with
-           | Some o -> sum_words o.Exec.b_dma.Exec.moved_out
-           | None -> 0.0
-         in
-         Ev.Dma_transfer
-           { launch = st.launch_id; block = i; dir = `Out; words }));
+      (submit (fun () ->
+         Fun.protect ~finally:(fun () -> Arena.release arena) @@ fun () ->
+         let memory = Arena.memory arena in
+         st.out_slots.(i) <-
+           Some (run_phase rt st hook i ~memory Dma_out outs)));
     match next with
     | Some (`Staged s) -> go s
-    | Some (`Plain j) -> go (stage j (take (acquire_arena ?er rt)))
+    | Some (`Plain j) -> go (stage j (take (acquire_arena rt)))
     | None -> ()
   in
   match
     match next_task () with
     | None -> ()
-    | Some i -> go (stage i (take (acquire_arena ?er rt)))
+    | Some i -> go (stage i (take (acquire_arena rt)))
   with
   | () -> Lane.await_all !queued
   | exception e ->
@@ -512,8 +501,7 @@ let exec_launch rt host_bindings (l : Ast.loop) code =
   let n = Array.length tasks in
   if n = 0 then ()
   else begin
-    let module J = Emsc_obs.Json in
-    Emsc_obs.Prof.probe "runtime.launch"
+    Prof.probe "runtime.launch"
       ~args:(fun () ->
         [ ("grid", J.Float (float_of_int n));
           ("jobs", J.Int rt.cfg.jobs);
@@ -531,7 +519,7 @@ let exec_launch rt host_bindings (l : Ast.loop) code =
     in
     let tracker = if rt.cfg.track_ownership then Some (fresh_tracker ()) else None in
     let hook = block_hook rt tracker in
-    Emsc_obs.Prof.probe "runtime.dispatch" (fun () ->
+    Prof.probe "runtime.dispatch" (fun () ->
       dispatch rt.crew (fun w ->
         match code with
         | Phased (ins, core, outs) ->
@@ -542,7 +530,7 @@ let exec_launch rt host_bindings (l : Ast.loop) code =
      | _ -> ());
     (* barrier reduction, in block order: exact for the integer-valued
        counters, so totals are independent of jobs *)
-    Emsc_obs.Prof.probe "runtime.reduce" @@ fun () ->
+    Prof.probe "runtime.reduce" @@ fun () ->
     let delta = Exec.fresh () in
     for i = 0 to n - 1 do
       let cs = rt.chan_stats.(st.chan_of.(i)) in
@@ -614,8 +602,7 @@ let flush_metrics rt =
      than the sequential executor's cumulative union of windows *)
   Exec.record_run_metrics rt.totals rt.run_dma ~occupancy:(fun () ->
     Arena.peak_occupancy rt.apool);
-  if Emsc_obs.Prof.enabled () then begin
-    let open Emsc_obs in
+  if Prof.enabled () then begin
     Prof.add "runtime.blocks" (float_of_int rt.blocks_run);
     Prof.add "runtime.launches" (float_of_int (List.length rt.launches));
     Prof.gauge_max "runtime.arena_peak_concurrent"
@@ -646,41 +633,19 @@ let run ~prog ?local_ref ~param_env ~memory ?on_global
   in
   let crew = checkout cfg.jobs in
   Fun.protect ~finally:(fun () -> checkin cfg.jobs crew) @@ fun () ->
-  (* DMA rings are attached per run: a crew outlives [Ev.reset], so a
-     ring kept from an earlier run may no longer be registered *)
-  let ev_on = Ev.enabled () in
-  Array.iteri
-    (fun i lane ->
-      Lane.set_event_ring lane
-        (if ev_on && cfg.double_buffer then
-           Some (Ev.ring ~kind:Ev.Dma_track ("dma" ^ string_of_int i))
-         else None))
-    crew.dmas;
-  let ev =
-    if ev_on then begin
-      (* one exec track per worker, one DMA track per lane, one
-         arena-occupancy track; registered up front so the hot path
-         only indexes arrays *)
-      Arena.set_event_ring apool (Ev.ring ~kind:Ev.Arena_track "arena");
-      Some
-        (Array.init cfg.jobs (fun i ->
-           Ev.ring ~kind:Ev.Exec_track ("worker" ^ string_of_int i)))
-    end
-    else None
-  in
   let rt =
     { cfg; param_env; memory; apool; crew;
-      collect_dma = ev_on || Emsc_obs.Prof.enabled ();
+      collect_dma = Prof.enabled ();
       user_hook = on_global;
       hook_m = Mutex.create (); totals = Exec.fresh ();
       run_dma = Exec.fresh_tally ();
       chan_stats =
         Array.init cfg.jobs (fun _ ->
           { in_words = 0.; out_words = 0.; transfers = 0. });
-      ev; launch_seq = 0; launches = []; blocks_run = 0 }
+      launch_seq = 0; launches = []; blocks_run = 0 }
   in
-  Emsc_obs.Prof.probe "runtime.run"
-    ~args:(fun () -> [ ("jobs", Emsc_obs.Json.Int cfg.jobs) ])
+  Prof.probe "runtime.run"
+    ~args:(fun () -> [ ("jobs", J.Int cfg.jobs) ])
   @@ fun () ->
   List.iter (exec_host rt []) host;
   flush_metrics rt;

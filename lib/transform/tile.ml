@@ -338,6 +338,27 @@ let wrap lvl body =
       { var = lvl.var; lb = lvl.lb; ub = lvl.ub;
         step = Zint.of_int lvl.step; par = lvl.par; body } ]
 
+(* The domain constraints its bounding box does not imply, as guard
+   expressions: every tiling level scans the box, so on a
+   non-rectangular domain (a triangle, say) the statement call must
+   still test its own inequalities.  A row is implied when its minimum
+   over the box is non-negative, so a box domain gets no guard and its
+   AST is unchanged.  An equality is guarded as two inequalities. *)
+let box_guard domain bounds ~names =
+  let eqs, ineqs = Poly.constraints domain in
+  let implied (row : Vec.t) =
+    let n = Array.length bounds in
+    let least = ref row.(n) in
+    Array.iteri (fun j (lo, hi) ->
+      let at x = Zint.mul row.(j) (Zint.of_int x) in
+      least := Zint.add !least (Zint.min (at lo) (at hi)))
+      bounds;
+    not (Zint.is_negative !least)
+  in
+  ineqs @ List.concat_map (fun e -> [ e; Vec.neg e ]) eqs
+  |> List.filter (fun row -> not (implied row))
+  |> List.map (Ast.vec_to_aexpr ~names)
+
 let generate p spec ~movement =
   Emsc_obs.Prof.probe "tile.generate" @@ fun () ->
   let np = Prog.nparams p in
@@ -427,10 +448,15 @@ let generate p spec ~movement =
         par = Ast.Seq })
       dims
   in
+  let call =
+    Ast.Stmt_call
+      { stmt_id = stmt.Prog.id;
+        iter_args = Array.init depth (fun j -> Ast.Var (name j)) }
+  in
   let compute =
-    [ Ast.Stmt_call
-        { stmt_id = stmt.Prog.id;
-          iter_args = Array.init depth (fun j -> Ast.Var (name j)) } ]
+    match box_guard stmt.Prog.domain bounds ~names:name with
+    | [] -> [ call ]
+    | conds -> [ Ast.Guard (conds, [ call ]) ]
   in
   let inner_levels = thread_levels @ point_levels in
   let outer_levels = block_levels @ mem_levels in

@@ -208,8 +208,7 @@ let test_span_disabled_and_errors () =
 let test_chrome_json () =
   with_fake_clock (fun () ->
     build_tree ();
-    Events.reset ();
-    let j = parse_exn (Json.to_string (Events.merged_chrome_json ())) in
+    let j = parse_exn (Json.to_string (Runtime_report.chrome_json ())) in
     let events =
       match Json.member "traceEvents" j with
       | Some e -> Json.to_list e
@@ -278,8 +277,8 @@ let test_write_file () =
     Prof.write_collapsed "/dev/full"
       [ { Prof.f_stack = [ "a" ]; f_calls = 1; f_errors = 0; f_total_s = 1.0;
           f_self_s = 1.0; f_counters = [] } ]);
-  fails "Events.write_merged_chrome" (fun () ->
-    Events.write_merged_chrome "/dev/full")
+  fails "Runtime_report.write_chrome" (fun () ->
+    Runtime_report.write_chrome "/dev/full")
 
 (* ------------------------------------------------------------------ *)
 (* Log: ndjson sink flushes after every record                         *)

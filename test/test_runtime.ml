@@ -76,6 +76,41 @@ let test_totals_invariant_in_jobs () =
   Alcotest.(check (list (float 0.0))) "-j1 == -j8 grids" (grids r1)
     (grids r8)
 
+(* a triangular domain tiled by its 8x8 bounding-box blocks: the blocks
+   straddling the diagonal must run only the triangle's instances, on
+   Seq and on Par 2, or A picks up products from above the diagonal *)
+let test_triangle_tiled_matches_reference () =
+  let src =
+    "array A[32][32];\n\
+     array B[32][32];\n\
+     for (i = 0; i <= 31; i++) {\n\
+    \  for (j = 0; j <= i; j++) {\n\
+    \    A[i][j] = B[i][j] * B[j][i];\n\
+    \  }\n\
+     }\n"
+  in
+  let prog = Emsc_lang.Parser.parse src in
+  let spec =
+    Emsc_transform.Tile.spec_of_lists ~depth:2 ~block:[| 8; 8 |] ~mem:[||]
+      ~thread:[||]
+  in
+  let options =
+    { Options.default with
+      Options.find_band = false; tiling = Options.Spec spec }
+  in
+  let c =
+    compiled
+      (Pipeline.job ~options (Source.Program { name = "triangle"; prog }))
+  in
+  let m_ref, ref_counters = Runner.reference ~memory:Runner.Pseudorandom prog in
+  List.iter
+    (fun (name, (m, (r : Exec.result))) ->
+      Alcotest.(check bool) (name ^ ": A equals the reference") true
+        (Memory.arrays_equal ~eps:0.0 m_ref m "A");
+      Alcotest.(check (float 0.0)) (name ^ ": one store per instance")
+        ref_counters.Exec.g_st r.Exec.totals.Exec.g_st)
+    [ ("seq", simulate_seq c); ("par 2", simulate_par ~jobs:2 c) ]
+
 (* multi-launch host loop with Fence-delimited movement phases: the
    overlapped stencil through Runner.execute, pipelined and not *)
 let test_stencil_multi_launch () =
@@ -423,31 +458,37 @@ let test_runtime_lowers_once () =
 
 (* --- the one schedule ------------------------------------------------------ *)
 
-module Ev = Emsc_obs.Events
+module Prof = Emsc_obs.Prof
 module Rr = Emsc_obs.Runtime_report
 
-(* (launch, block) -> worker track of every Block event of the last
-   recorded run, sorted *)
-let recorded_blocks () =
+(* (launch, block) -> worker track of every block span among [roots],
+   sorted *)
+let recorded_blocks roots =
+  let int_arg k (n : Prof.node) =
+    match List.assoc_opt k n.Prof.args with
+    | Some (Emsc_obs.Json.Int i) -> i
+    | _ -> Alcotest.failf "span %s lacks arg %s" n.Prof.name k
+  in
   List.concat_map
-    (fun (tr : Ev.track) ->
-      List.filter_map
-        (fun (e : Ev.event) ->
-          match e.Ev.data with
-          | Ev.Block { launch; block; _ } ->
-            Some ((launch, block), tr.Ev.t_name)
-          | _ -> None)
-        tr.Ev.events)
-    (Ev.drain ())
+    (fun (root : Prof.node) ->
+      if root.Prof.name <> "runtime.worker" then []
+      else
+        List.filter_map
+          (fun (n : Prof.node) ->
+            if n.Prof.name = "block" then
+              Some
+                ( (int_arg "launch" n, int_arg "block" n),
+                  Printf.sprintf "worker%d" (int_arg "worker" root) )
+            else None)
+          root.Prof.children)
+    roots
   |> List.sort compare
 
-(* run under events at [jobs], check arrays and totals against [seq],
-   and check that each block of each launch left exactly one Block
-   event, on worker [worker_of block] *)
+(* run with the timeline recorded at [jobs], check arrays and totals
+   against [seq], and check that each block of each launch left exactly
+   one block span, on worker [worker_of block] *)
 let check_schedule ~jobs ~grid ~worker_of c seq =
-  let (_, r as par), _ =
-    Runner.with_runtime_report (fun () -> simulate_par ~jobs c)
-  in
+  let (_, r as par), roots = Prof.collect (fun () -> simulate_par ~jobs c) in
   check_same c.Pipeline.prog seq par;
   Alcotest.(check (list (float 0.0))) "stated grid" [ float_of_int grid ]
     (grids r);
@@ -456,8 +497,8 @@ let check_schedule ~jobs ~grid ~worker_of c seq =
       ((0, b), Printf.sprintf "worker%d" (worker_of b)))
   in
   Alcotest.(check (list (pair (pair int int) string)))
-    "one Block event per (launch, block), on its worker" expected
-    (recorded_blocks ())
+    "one block span per (launch, block), on its worker" expected
+    (recorded_blocks roots)
 
 (* matmul n=32 has one launch of 4 blocks, not a multiple of 3: with
    single-block chains, block i runs on worker (i mod 3) *)
@@ -535,10 +576,11 @@ let test_double_buffer_capacity_regression () =
   Alcotest.(check int) "exceeds double-buffered" 1
     (List.length (capacity_violations ~double_buffer:true))
 
-(* --- runtime events integration ------------------------------------------ *)
+(* --- runtime timeline integration ----------------------------------------- *)
 
-(* instrumentation must be observationally free: an events-on pipelined
-   run stays bit-identical to sequential, and the report it yields is
+(* instrumentation must be observationally free: a pipelined run with
+   its timeline recorded stays bit-identical to sequential, and the
+   report it yields is
    internally consistent (every block accounted for, measured overlap
    within the model bound) *)
 let test_events_on_bit_identical_with_report () =
@@ -567,6 +609,8 @@ let test_events_on_bit_identical_with_report () =
       blocks;
     Alcotest.(check bool) "staged words were counted" true
       (r.Rr.dma_words > 0.0);
+    Alcotest.(check bool) "the arena pool was sampled" true
+      (r.Rr.occupancy <> [] && r.Rr.occupancy_peak_arenas > 0);
     Alcotest.(check bool) "window covers the busy time" true
       (r.Rr.window_s > 0.0 && r.Rr.compute_busy_s <= r.Rr.window_s *. 3.0);
     Alcotest.(check bool) "critical path within the window" true
@@ -576,20 +620,63 @@ let test_events_on_bit_identical_with_report () =
     Alcotest.(check bool) "overlap audit not failing" true
       (Emsc_audit.Overlap.ok a)
 
-(* with recording off, the backend registers no rings at all — the
-   plain (uninstrumented) path runs and nothing is drainable *)
+(* with probes off the runtime records nothing at all — no span, no
+   frame, no value — and runs the plain path *)
 let test_events_off_leaves_no_tracks () =
   let c = compiled (Emsc_kernels.Matmul.job ~n:16 ()) in
-  (* the same crew first runs with events on: its DMA lanes must drop
-     their rings when the next run has events off *)
+  (* the same crew first runs with the timeline on *)
   ignore
     (Runner.with_runtime_report (fun () ->
        simulate_par ~double_buffer:true ~jobs:2 c));
-  Ev.reset ();
-  Alcotest.(check bool) "events disabled" false (Ev.enabled ());
+  let was_on = Prof.enabled () in
+  Prof.disable ();
+  Fun.protect ~finally:(fun () -> if was_on then Prof.enable ()) @@ fun () ->
   let seq = simulate_seq c in
+  let roots = List.length (Prof.roots ()) and frames = Prof.snapshot () in
+  let values = List.length (Prof.values ()) in
   check_same c.Pipeline.prog seq (simulate_par ~double_buffer:true ~jobs:2 c);
-  Alcotest.(check int) "no tracks recorded" 0 (List.length (Ev.drain ()))
+  Alcotest.(check int) "no span recorded" roots (List.length (Prof.roots ()));
+  Alcotest.(check bool) "no frame recorded" true (frames = Prof.snapshot ());
+  Alcotest.(check int) "no value recorded" values (List.length (Prof.values ()))
+
+(* [emsc profile --runtime] calls [with_runtime_report] inside its own
+   Prof session: the session's compile frames must survive, and with
+   the span tree off repeated calls must retain no span *)
+let test_report_inside_session () =
+  let was_on = Prof.enabled () in
+  Prof.reset ();
+  Prof.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not was_on then Prof.disable ();
+      Prof.reset ())
+  @@ fun () ->
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  let compile_frames () =
+    List.filter_map
+      (fun (f : Prof.frame) ->
+        match f.Prof.f_stack with
+        | root :: _ when String.starts_with ~prefix:"driver." root ->
+          Some (f.Prof.f_stack, f.Prof.f_calls, f.Prof.f_total_s)
+        | _ -> None)
+      (Prof.snapshot ())
+  in
+  let before = compile_frames () in
+  Alcotest.(check bool) "the session has compile frames" true (before <> []);
+  for k = 1 to 3 do
+    let _, report =
+      Runner.with_runtime_report (fun () ->
+        simulate_par ~double_buffer:true ~jobs:2 c)
+    in
+    Alcotest.(check bool) (Printf.sprintf "report %d" k) true (report <> None);
+    Alcotest.(check int) (Printf.sprintf "no span retained after %d" k) 0
+      (List.length (Prof.roots ()));
+    Alcotest.(check bool) "probes still on" true (Prof.enabled ())
+  done;
+  let stacks = List.map (fun (st, _, _) -> st) before in
+  Alcotest.(check bool) "compile frames intact" true
+    (before
+     = List.filter (fun (st, _, _) -> List.mem st stacks) (compile_frames ()))
 
 (* --- lanes: reuse, retirement, failure, concurrency ----------------------- *)
 
@@ -803,7 +890,9 @@ let () =
           Alcotest.test_case "totals invariant in -j" `Quick
             test_totals_invariant_in_jobs;
           Alcotest.test_case "stencil multi-launch" `Quick
-            test_stencil_multi_launch ] );
+            test_stencil_multi_launch;
+          Alcotest.test_case "triangle tiled = reference" `Quick
+            test_triangle_tiled_matches_reference ] );
       ( "ownership",
         [ Alcotest.test_case "tracker catches race" `Quick
             test_tracker_catches_race;
@@ -845,7 +934,9 @@ let () =
         [ Alcotest.test_case "on: bit-identical + report" `Quick
             test_events_on_bit_identical_with_report;
           Alcotest.test_case "off: no tracks" `Quick
-            test_events_off_leaves_no_tracks ] );
+            test_events_off_leaves_no_tracks;
+          Alcotest.test_case "report inside a Prof session" `Quick
+            test_report_inside_session ] );
       ( "lanes",
         [ Alcotest.test_case "reused across runs, retired when idle" `Quick
             test_lanes_reused_across_runs;
