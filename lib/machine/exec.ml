@@ -149,11 +149,11 @@ let prof_launch delta =
 
 let overflow () = failwith "Exec: integer overflow in index arithmetic"
 
-let add_ck a b =
+let[@inline] add_ck a b =
   let s = a + b in
   if (a lxor s) land (b lxor s) < 0 then overflow () else s
 
-let sub_ck a b =
+let[@inline] sub_ck a b =
   let d = a - b in
   if (a lxor b) land (a lxor d) < 0 then overflow () else d
 
@@ -165,6 +165,16 @@ let mul_by c =
     let lim = max_int / abs c in
     fun x -> if x > lim || x < -lim then overflow () else c * x
   end
+
+(* [acc + c * x] for a nonzero coefficient [c] known when the code is
+   lowered, with [lim = max_int / abs c]: a unit coefficient adds or
+   subtracts [x] directly.  It fails exactly when [acc + mul_by c x]
+   does. *)
+let[@inline] add_term acc c lim x =
+  if c = 1 then add_ck acc x
+  else if c = -1 then if x = min_int then overflow () else sub_ck acc x
+  else if x > lim || x < -lim then overflow ()
+  else add_ck acc (c * x)
 
 let fdiv x d =
   let q = x / d in
@@ -190,7 +200,10 @@ type buf =
 
 type ctx = {
   slots : int array;  (* loop variables, bound names, iteration values *)
-  idx : int array;  (* the indices of the access in flight *)
+  fv : float array;  (* one cell per float expression node *)
+  idx : int array;
+      (* the indices of the access in flight, for [hook], a local
+         store that grows its window, and accesses of rank 3 or more *)
   bufs : buf array;
   c : counters;
   mode : mode;
@@ -250,6 +263,7 @@ let session ~prog ?local_ref ~param_env () =
 type code = {
   run : ctx -> unit;
   nslots : int;
+  ncells : int;
   free : (string * int) array;
       (* names read where no loop of the code binds them: set from the
          block's bindings, else from the parameter valuation *)
@@ -263,6 +277,7 @@ type lw = {
   sess : session;
   names : (string, int) Hashtbl.t;
   mutable nslots : int;
+  mutable ncells : int;
   mutable free : (string * int) list;
   mutable bound : string list;  (* variables of the enclosing loops *)
   bufs : (string * bool, int) Hashtbl.t;
@@ -275,6 +290,11 @@ let fresh_slot lw =
   let k = lw.nslots in
   lw.nslots <- k + 1;
   k
+
+let fresh_cell lw =
+  let c = lw.ncells in
+  lw.ncells <- c + 1;
+  c
 
 (* the slot of a variable a loop binds *)
 let var_slot lw name =
@@ -340,27 +360,36 @@ let rec affine_of lw (e : Ast.aexpr) =
   | Ast.Mul (c, a) -> Option.map (aff_scale c) (affine_of lw a)
   | Ast.Fdiv _ | Ast.Cdiv _ | Ast.Min _ | Ast.Max _ -> None
 
-(* the integer dot product of an affine form over the frame *)
+(* the integer dot product of an affine form over the frame, summed
+   in the order of the sorted terms *)
 let affine_fn (a : affine) : int array -> int =
   let c0 = int_of_const a.const in
-  let terms = List.sort compare a.terms in
-  match List.map (fun (k, c) -> (k, int_of_const c)) terms with
+  let term (k, c) =
+    let c = int_of_const c in
+    (k, c, if c = 0 then max_int else max_int / abs c)
+  in
+  match List.map term (List.sort compare a.terms) with
   | [] -> fun _ -> c0
-  | [ (k, 1) ] when c0 = 0 -> fun s -> s.(k)
-  | [ (k, 1) ] -> fun s -> add_ck s.(k) c0
-  | [ (k, c) ] ->
-    let m = mul_by c in
-    fun s -> add_ck (m s.(k)) c0
-  | [ (k1, c1); (k2, c2) ] ->
-    let m1 = mul_by c1 and m2 = mul_by c2 in
-    fun s -> add_ck (add_ck (m1 s.(k1)) (m2 s.(k2))) c0
+  | [ (k, 1, _) ] when c0 = 0 -> fun s -> s.(k)
+  | [ (k, 1, _) ] -> fun s -> add_ck s.(k) c0
+  | [ (k, -1, _) ] -> fun s -> add_term c0 (-1) 0 s.(k)
+  | [ (k, c, l) ] -> fun s -> add_term c0 c l s.(k)
+  | [ (k1, c1, l1); (k2, c2, l2) ] ->
+    fun s -> add_ck (add_term (add_term 0 c1 l1 s.(k1)) c2 l2 s.(k2)) c0
+  | [ (k1, c1, l1); (k2, c2, l2); (k3, c3, l3) ] ->
+    fun s ->
+      add_term (add_term (add_term c0 c1 l1 s.(k1)) c2 l2 s.(k2)) c3 l3 s.(k3)
+  | [ (k1, c1, l1); (k2, c2, l2); (k3, c3, l3); (k4, c4, l4) ] ->
+    fun s ->
+      let acc = add_term (add_term c0 c1 l1 s.(k1)) c2 l2 s.(k2) in
+      add_term (add_term acc c3 l3 s.(k3)) c4 l4 s.(k4)
   | terms ->
-    let ks = Array.of_list (List.map fst terms) in
-    let ms = Array.of_list (List.map (fun (_, c) -> mul_by c) terms) in
+    let terms = Array.of_list terms in
     fun s ->
       let acc = ref c0 in
-      for i = 0 to Array.length ks - 1 do
-        acc := add_ck !acc (ms.(i) s.(ks.(i)))
+      for i = 0 to Array.length terms - 1 do
+        let k, c, l = terms.(i) in
+        acc := add_term !acc c l s.(k)
       done;
       !acc
 
@@ -400,65 +429,129 @@ and extreme lw pick e0 es =
     !m
 
 (* Compute the indices of an access into [ctx.idx], left to right. *)
-let lower_indices lw (fs : (int array -> int) array) =
+let fill_indices ctx (fs : (int array -> int) array) =
+  let s = ctx.slots in
+  for k = 0 to Array.length fs - 1 do
+    ctx.idx.(k) <- fs.(k) s
+  done
+
+let unknown_global name = invalid_arg ("Memory: unknown global array " ^ name)
+
+(* [ctx.hook] on a global access whose [n] indices are in [ctx.idx] *)
+let on_global ctx name g n kind =
+  match ctx.hook with
+  | Some f -> f name (Memory.global_address g ctx.idx n) kind
+  | None -> ()
+
+let on_global1 ctx name g i0 kind =
+  match ctx.hook with
+  | Some f ->
+    ctx.idx.(0) <- i0;
+    f name (Memory.global_address g ctx.idx 1) kind
+  | None -> ()
+
+let on_global2 ctx name g i0 i1 kind =
+  match ctx.hook with
+  | Some f ->
+    ctx.idx.(0) <- i0;
+    ctx.idx.(1) <- i1;
+    f name (Memory.global_address g ctx.idx 2) kind
+  | None -> ()
+
+(* One load of an array cell into the float cell [dst].
+   [may_be_local]: an [Ast.ref_expr], local when the view declares its
+   name.  Ranks 1 and 2 pass their indices to [Memory] directly. *)
+let lower_load lw name ~may_be_local fs ~dst : ctx -> unit =
+  let b = buf_slot lw name ~may_be_local in
   let n = Array.length fs in
   lw.max_rank <- max lw.max_rank n;
   match fs with
-  | [||] -> fun _ -> ()
-  | [| f0 |] -> fun ctx -> ctx.idx.(0) <- f0 ctx.slots
-  | [| f0; f1 |] ->
+  | [| f0 |] -> (
+    fun ctx ->
+      let i0 = f0 ctx.slots in
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
+        Memory.local_load1 l i0 ctx.fv dst
+      | Global g ->
+        ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
+        on_global1 ctx name g i0 `Ld;
+        Memory.global_load1 g i0 ctx.fv dst
+      | Missing name -> unknown_global name)
+  | [| f0; f1 |] -> (
     fun ctx ->
       let s = ctx.slots in
       let i0 = f0 s in
       let i1 = f1 s in
-      ctx.idx.(0) <- i0;
-      ctx.idx.(1) <- i1
-  | _ ->
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
+        Memory.local_load2 l i0 i1 ctx.fv dst
+      | Global g ->
+        ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
+        on_global2 ctx name g i0 i1 `Ld;
+        Memory.global_load2 g i0 i1 ctx.fv dst
+      | Missing name -> unknown_global name)
+  | _ -> (
     fun ctx ->
+      fill_indices ctx fs;
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
+        Memory.local_load l ctx.idx n ctx.fv dst
+      | Global g ->
+        ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
+        on_global ctx name g n `Ld;
+        Memory.global_load g ctx.idx n ctx.fv dst
+      | Missing name -> unknown_global name)
+
+(* One store of the float cell [src], after [value] has written it. *)
+let lower_store lw name ~may_be_local fs (src, value) : ctx -> unit =
+  let b = buf_slot lw name ~may_be_local in
+  let n = Array.length fs in
+  lw.max_rank <- max lw.max_rank n;
+  match fs with
+  | [| f0 |] -> (
+    fun ctx ->
+      value ctx;
+      let i0 = f0 ctx.slots in
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_st <- ctx.c.s_st +. 1.0;
+        Memory.local_store1 l ctx.idx i0 ctx.fv src
+      | Global g ->
+        ctx.c.g_st <- ctx.c.g_st +. 1.0;
+        on_global1 ctx name g i0 `St;
+        Memory.global_store1 g i0 ctx.fv src
+      | Missing name -> unknown_global name)
+  | [| f0; f1 |] -> (
+    fun ctx ->
+      value ctx;
       let s = ctx.slots in
-      for k = 0 to n - 1 do
-        ctx.idx.(k) <- fs.(k) s
-      done
-
-let unknown_global name = invalid_arg ("Memory: unknown global array " ^ name)
-
-(* One load of an array cell.  [may_be_local]: an [Ast.ref_expr],
-   local when the view declares its name. *)
-let lower_load lw name ~may_be_local fs : ctx -> float =
-  let b = buf_slot lw name ~may_be_local in
-  let fill = lower_indices lw fs in
-  let n = Array.length fs in
-  fun ctx ->
-    fill ctx;
-    match ctx.bufs.(b) with
-    | Local l ->
-      ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
-      Memory.local_get l ctx.idx n
-    | Global g ->
-      ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-      (match ctx.hook with
-       | Some f -> f name (Memory.global_address g ctx.idx n) `Ld
-       | None -> ());
-      Memory.global_get g ctx.idx n
-    | Missing name -> unknown_global name
-
-let lower_store lw name ~may_be_local fs : ctx -> float -> unit =
-  let b = buf_slot lw name ~may_be_local in
-  let fill = lower_indices lw fs in
-  let n = Array.length fs in
-  fun ctx v ->
-    fill ctx;
-    match ctx.bufs.(b) with
-    | Local l ->
-      ctx.c.s_st <- ctx.c.s_st +. 1.0;
-      Memory.local_set l ctx.idx n v
-    | Global g ->
-      ctx.c.g_st <- ctx.c.g_st +. 1.0;
-      (match ctx.hook with
-       | Some f -> f name (Memory.global_address g ctx.idx n) `St
-       | None -> ());
-      Memory.global_set g ctx.idx n v
-    | Missing name -> unknown_global name
+      let i0 = f0 s in
+      let i1 = f1 s in
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_st <- ctx.c.s_st +. 1.0;
+        Memory.local_store2 l ctx.idx i0 i1 ctx.fv src
+      | Global g ->
+        ctx.c.g_st <- ctx.c.g_st +. 1.0;
+        on_global2 ctx name g i0 i1 `St;
+        Memory.global_store2 g i0 i1 ctx.fv src
+      | Missing name -> unknown_global name)
+  | _ -> (
+    fun ctx ->
+      value ctx;
+      fill_indices ctx fs;
+      match ctx.bufs.(b) with
+      | Local l ->
+        ctx.c.s_st <- ctx.c.s_st +. 1.0;
+        Memory.local_store l ctx.idx n ctx.fv src
+      | Global g ->
+        ctx.c.g_st <- ctx.c.g_st +. 1.0;
+        on_global ctx name g n `St;
+        Memory.global_store g ctx.idx n ctx.fv src
+      | Missing name -> unknown_global name)
 
 let ref_indices lw (r : Ast.ref_expr) = Array.map (lower_aexpr lw) r.Ast.indices
 
@@ -497,42 +590,96 @@ let lower_access lw info iters (a : Prog.access) =
   | Some None | None ->
     (a.Prog.array, false, Array.map (access_row lw info.stmt iters) a.Prog.map)
 
-let rec lower_expr lw info iters (e : Prog.expr) : ctx -> float =
+(* A float expression lowers to the cell it writes and the closure that
+   writes it: one closure per node, and no float crosses a closure
+   boundary. *)
+let rec lower_expr lw info iters (e : Prog.expr) : int * (ctx -> unit) =
   (* binary operands are evaluated right to left, the order in which
      the loads (and so the [on_global] addresses) have always come *)
-  let bin f a b =
-    let fa = lower_expr lw info iters a and fb = lower_expr lw info iters b in
-    fun ctx ->
-      let y = fb ctx in
-      let x = fa ctx in
-      f x y
+  let operands a b =
+    let a = lower_expr lw info iters a and b = lower_expr lw info iters b in
+    (a, b, fresh_cell lw)
   in
   match e with
   | Prog.Eref a ->
     let name, may_be_local, fs = lower_access lw info iters a in
-    lower_load lw name ~may_be_local fs
+    let d = fresh_cell lw in
+    (d, lower_load lw name ~may_be_local fs ~dst:d)
   | Prog.Eiter i -> (
+    let d = fresh_cell lw in
     match iters.(i) with
     | Aff a ->
       let f = affine_fn a in
-      fun ctx -> float_of_int (f ctx.slots)
-    | Slot k -> fun ctx -> float_of_int ctx.slots.(k))
+      (d, fun ctx -> ctx.fv.(d) <- float_of_int (f ctx.slots))
+    | Slot k -> (d, fun ctx -> ctx.fv.(d) <- float_of_int ctx.slots.(k)))
   | Prog.Eparam k ->
-    let k = slot lw lw.sess.s_prog.Prog.params.(k) in
-    fun ctx -> float_of_int ctx.slots.(k)
-  | Prog.Econst f -> fun _ -> f
+    let k = slot lw lw.sess.s_prog.Prog.params.(k) and d = fresh_cell lw in
+    (d, fun ctx -> ctx.fv.(d) <- float_of_int ctx.slots.(k))
+  | Prog.Econst f ->
+    let d = fresh_cell lw in
+    (d, fun ctx -> ctx.fv.(d) <- f)
   | Prog.Eneg e ->
-    let f = lower_expr lw info iters e in
-    fun ctx -> -.f ctx
+    let x, fx = lower_expr lw info iters e and d = fresh_cell lw in
+    ( d,
+      fun ctx ->
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- -.v.(x) )
   | Prog.Eabs e ->
-    let f = lower_expr lw info iters e in
-    fun ctx -> Float.abs (f ctx)
-  | Prog.Eadd (a, b) -> bin ( +. ) a b
-  | Prog.Esub (a, b) -> bin ( -. ) a b
-  | Prog.Emul (a, b) -> bin ( *. ) a b
-  | Prog.Ediv (a, b) -> bin ( /. ) a b
-  | Prog.Emin (a, b) -> bin Float.min a b
-  | Prog.Emax (a, b) -> bin Float.max a b
+    let x, fx = lower_expr lw info iters e and d = fresh_cell lw in
+    ( d,
+      fun ctx ->
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- Float.abs v.(x) )
+  | Prog.Eadd (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- v.(x) +. v.(y) )
+  | Prog.Esub (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- v.(x) -. v.(y) )
+  | Prog.Emul (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- v.(x) *. v.(y) )
+  | Prog.Ediv (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- v.(x) /. v.(y) )
+  | Prog.Emin (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- Float.min v.(x) v.(y) )
+  | Prog.Emax (a, b) ->
+    let (x, fx), (y, fy), d = operands a b in
+    ( d,
+      fun ctx ->
+        fy ctx;
+        fx ctx;
+        let v = ctx.fv in
+        v.(d) <- Float.max v.(x) v.(y) )
 
 let lower_call lw stmt_id (iter_args : Ast.aexpr array) : ctx -> unit =
   match Hashtbl.find_opt lw.sess.s_stmts stmt_id with
@@ -556,11 +703,8 @@ let lower_call lw stmt_id (iter_args : Ast.aexpr array) : ctx -> unit =
       | None -> fun _ -> ()
       | Some (lhs, rhs) ->
         let rhs = lower_expr lw info iters rhs in
-        let store =
-          let name, may_be_local, fs = lower_access lw info iters lhs in
-          lower_store lw name ~may_be_local fs
-        in
-        fun ctx -> store ctx (rhs ctx)
+        let name, may_be_local, fs = lower_access lw info iters lhs in
+        lower_store lw name ~may_be_local fs rhs
     in
     let flops = info.flops in
     fun ctx ->
@@ -652,16 +796,20 @@ let rec lower_stm lw (s : Ast.stm) : (ctx -> unit) option =
   | Ast.Stmt_call { stmt_id; iter_args } ->
     Some (lower_call lw stmt_id iter_args)
   | Ast.Copy { dst; src } ->
+    let cell = fresh_cell lw in
     let load =
       lower_load lw src.Ast.array ~may_be_local:true (ref_indices lw src)
-    and store =
+        ~dst:cell
+    in
+    let copy =
       lower_store lw dst.Ast.array ~may_be_local:true (ref_indices lw dst)
+        (cell, load)
     in
     let dst_b = buf_slot lw dst.Ast.array ~may_be_local:true
     and src_b = buf_slot lw src.Ast.array ~may_be_local:true in
     Some
       (fun ctx ->
-        store ctx (load ctx);
+        copy ctx;
         if ctx.collect_dma then record_copy ctx ~dst:dst_b ~src:src_b)
   | Ast.Sync -> Some (fun ctx -> ctx.c.syncs <- ctx.c.syncs +. 1.0)
   | Ast.Fence ->
@@ -744,14 +892,16 @@ and lower_loop lw (l : Ast.loop) : ctx -> unit =
 
 let lower sess stms =
   let lw =
-    { sess; names = Hashtbl.create 32; nslots = 0; free = []; bound = [];
-      bufs = Hashtbl.create 8; nbufs = 0; max_rank = 0; lowered = 0 }
+    { sess; names = Hashtbl.create 32; nslots = 0; ncells = 0; free = [];
+      bound = []; bufs = Hashtbl.create 8; nbufs = 0; max_rank = 0;
+      lowered = 0 }
   in
   let run = lower_block lw stms in
   Emsc_obs.Prof.add "exec.lowered_stms" (float_of_int lw.lowered);
   let buf_keys = Array.make lw.nbufs ("", false) in
   Hashtbl.iter (fun key b -> buf_keys.(b) <- key) lw.bufs;
-  { run; nslots = lw.nslots; free = Array.of_list (List.rev lw.free);
+  { run; nslots = lw.nslots; ncells = lw.ncells;
+    free = Array.of_list (List.rev lw.free);
     buf_keys; max_rank = lw.max_rank; param_env = sess.s_param_env }
 
 let resolve memory (name, may_be_local) =
@@ -777,7 +927,7 @@ let make_ctx (code : code) ~memory ~mode ~on_global ~collect_dma ~in_launch
     slots.(k) <- int_of_const v)
     code.free;
   let nbufs = Array.length code.buf_keys in
-  { slots; idx = Array.make code.max_rank 0;
+  { slots; fv = Array.make code.ncells 0.0; idx = Array.make code.max_rank 0;
     bufs = Array.map (resolve memory) code.buf_keys; c = fresh (); mode;
     hook = (match mode with Full -> on_global | Sampled _ -> None);
     collect_dma; copies = 0.0; dma_in = Array.make nbufs 0.0;

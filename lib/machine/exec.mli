@@ -86,10 +86,13 @@ val expr_flops : Prog.expr -> int
     guard and subscript is a precomputed dot product over slots (an
     access map composed with the instance's affine iteration
     arguments), with checked arithmetic: a value outside the native
-    [int] range raises [Failure] instead of wrapping.  Buffer names
-    are resolved to their storage once per block.  Loads a statement
-    makes are issued right operand first, as they always were, so the
-    [on_global] address order is unchanged.
+    [int] range raises [Failure] instead of wrapping.  Each float
+    expression node writes its value into a cell of the frame's float
+    array, and an access of rank 1 or 2 hands its indices to {!Memory}
+    directly, so running the code allocates nothing per access.
+    Buffer names are resolved to their storage once per block.  Loads
+    a statement makes are issued right operand first, as they always
+    were, so the [on_global] address order is unchanged.
 
     A [session] packages what lowering shares across codes: the
     statement table and each access's local-buffer redirection, asked

@@ -77,40 +77,83 @@ let entry m name =
   | Some e -> e
   | None -> invalid_arg ("Memory: unknown global array " ^ name)
 
+let rank_mismatch e = invalid_arg ("Memory: rank mismatch on " ^ e.g_name)
+
+let out_of_bounds e i dim k =
+  invalid_arg
+    (Printf.sprintf "Memory: %s index %d out of bounds [0,%d) at dim %d"
+       e.g_name i dim k)
+
 (* Row-major offset of the indices [idx.(0) .. idx.(n - 1)]. *)
 let global_offset e idx n =
   let dims = e.g_dims in
-  if n <> Array.length dims then
-    invalid_arg ("Memory: rank mismatch on " ^ e.g_name);
+  if n <> Array.length dims then rank_mismatch e;
   let flat = ref 0 in
   for k = 0 to n - 1 do
     let i = idx.(k) in
-    if i < 0 || i >= dims.(k) then
-      invalid_arg
-        (Printf.sprintf "Memory: %s index %d out of bounds [0,%d) at dim %d"
-           e.g_name i dims.(k) k);
+    if i < 0 || i >= dims.(k) then out_of_bounds e i dims.(k) k;
     flat := (!flat * dims.(k)) + i
   done;
   !flat
 
+(* [global_offset] of one and of two indices, checked in the same
+   order with the same messages *)
+let global_offset1 e i =
+  let dims = e.g_dims in
+  if Array.length dims <> 1 then rank_mismatch e;
+  let d0 = dims.(0) in
+  if i < 0 || i >= d0 then out_of_bounds e i d0 0;
+  i
+
+let global_offset2 e i j =
+  let dims = e.g_dims in
+  if Array.length dims <> 2 then rank_mismatch e;
+  let d0 = dims.(0) and d1 = dims.(1) in
+  if i < 0 || i >= d0 then out_of_bounds e i d0 0;
+  if j < 0 || j >= d1 then out_of_bounds e j d1 1;
+  (i * d1) + j
+
 let global_address e idx n = e.base + global_offset e idx n
 
-let global_get e idx n =
-  if e.phantom then e.data.(0) else e.data.(global_offset e idx n)
+(* A phantom array ignores the indices of a load or store. *)
+let global_load e idx n dst c =
+  if e.phantom then dst.(c) <- e.data.(0)
+  else dst.(c) <- e.data.(global_offset e idx n)
 
-let global_set e idx n v =
-  if e.phantom then e.data.(0) <- v
-  else e.data.(global_offset e idx n) <- v
+let global_load1 e i dst c =
+  if e.phantom then dst.(c) <- e.data.(0)
+  else dst.(c) <- e.data.(global_offset1 e i)
+
+let global_load2 e i j dst c =
+  if e.phantom then dst.(c) <- e.data.(0)
+  else dst.(c) <- e.data.(global_offset2 e i j)
+
+let global_store e idx n src c =
+  if e.phantom then e.data.(0) <- src.(c)
+  else e.data.(global_offset e idx n) <- src.(c)
+
+let global_store1 e i src c =
+  if e.phantom then e.data.(0) <- src.(c)
+  else e.data.(global_offset1 e i) <- src.(c)
+
+let global_store2 e i j src c =
+  if e.phantom then e.data.(0) <- src.(c)
+  else e.data.(global_offset2 e i j) <- src.(c)
 
 let flat_index m name idx =
   global_offset (entry m name) idx (Array.length idx)
 
 let base_address m name = (entry m name).base
 
-let read_global m name idx = global_get (entry m name) idx (Array.length idx)
+let read_global m name idx =
+  let e = entry m name in
+  if e.phantom then e.data.(0)
+  else e.data.(global_offset e idx (Array.length idx))
 
 let write_global m name idx v =
-  global_set (entry m name) idx (Array.length idx) v
+  let e = entry m name in
+  if e.phantom then e.data.(0) <- v
+  else e.data.(global_offset e idx (Array.length idx)) <- v
 
 let find_local m name = Hashtbl.find_opt m.locals name
 
@@ -139,9 +182,34 @@ let local_offset l idx n =
     !flat
   end
 
-let local_get l idx n =
+(* [local_offset] of one and of two indices *)
+let local_offset1 l i =
+  if l.rank <> 1 then -1
+  else begin
+    let lo = l.lo.(0) in
+    if i < lo || i >= l.hi.(0) then -1 else i - lo
+  end
+
+let local_offset2 l i j =
+  if l.rank <> 2 then -1
+  else begin
+    let lo0 = l.lo.(0) and lo1 = l.lo.(1) and hi1 = l.hi.(1) in
+    if i < lo0 || i >= l.hi.(0) || j < lo1 || j >= hi1 then -1
+    else ((i - lo0) * (hi1 - lo1)) + (j - lo1)
+  end
+
+(* A cell never written reads as 0.0. *)
+let local_load l idx n dst c =
   let flat = local_offset l idx n in
-  if flat < 0 then 0.0 else l.cells.(flat)
+  if flat < 0 then dst.(c) <- 0.0 else dst.(c) <- l.cells.(flat)
+
+let local_load1 l i dst c =
+  let flat = local_offset1 l i in
+  if flat < 0 then dst.(c) <- 0.0 else dst.(c) <- l.cells.(flat)
+
+let local_load2 l i j dst c =
+  let flat = local_offset2 l i j in
+  if flat < 0 then dst.(c) <- 0.0 else dst.(c) <- l.cells.(flat)
 
 (* The largest window a local buffer may grow to, in cells. *)
 let max_window = 1 lsl 24
@@ -221,21 +289,52 @@ let grow l idx n =
     else relayout l exact_lo exact_hi
   end
 
+let[@inline] set_cell l flat v =
+  if Bytes.unsafe_get l.written flat = '\000' then begin
+    Bytes.unsafe_set l.written flat '\001';
+    l.count <- l.count + 1
+  end;
+  l.cells.(flat) <- v
+
 let rec local_set l idx n v =
   let flat = local_offset l idx n in
   if flat < 0 then begin
     grow l idx n;
     local_set l idx n v
   end
-  else begin
-    if Bytes.unsafe_get l.written flat = '\000' then begin
-      Bytes.unsafe_set l.written flat '\001';
-      l.count <- l.count + 1
-    end;
-    l.cells.(flat) <- v
-  end
+  else set_cell l flat v
 
-let read_local m name idx = local_get (local m name) idx (Array.length idx)
+let rec local_store l idx n src c =
+  let flat = local_offset l idx n in
+  if flat < 0 then begin
+    grow l idx n;
+    local_store l idx n src c
+  end
+  else set_cell l flat src.(c)
+
+(* outside the window, the general path grows it, from the indices
+   written into [idx] *)
+let local_store1 l idx i src c =
+  let flat = local_offset1 l i in
+  if flat < 0 then begin
+    idx.(0) <- i;
+    local_store l idx 1 src c
+  end
+  else set_cell l flat src.(c)
+
+let local_store2 l idx i j src c =
+  let flat = local_offset2 l i j in
+  if flat < 0 then begin
+    idx.(0) <- i;
+    idx.(1) <- j;
+    local_store l idx 2 src c
+  end
+  else set_cell l flat src.(c)
+
+let read_local m name idx =
+  let l = local m name in
+  let flat = local_offset l idx (Array.length idx) in
+  if flat < 0 then 0.0 else l.cells.(flat)
 
 let write_local m name idx v =
   local_set (local m name) idx (Array.length idx) v

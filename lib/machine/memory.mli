@@ -27,18 +27,31 @@ val write_local : t -> string -> int array -> float -> unit
 
 (** {2 Resolved buffers}
 
-    The executor resolves each buffer name once per block and then
-    reads and writes through these, passing the [n] indices of an
-    access as the prefix [idx.(0) .. idx.(n - 1)] of a scratch array
-    it owns, so an access allocates nothing. *)
+    The executor resolves each buffer name once per block, then moves
+    values between a buffer and one cell of a [float array] it owns: a
+    load writes [dst.(c)], a store reads [src.(c)].  No float is
+    returned or passed, so a load or store allocates nothing; only a
+    local store that grows its window allocates the new window.
+
+    The general forms take the [n] indices of an access as the prefix
+    [idx.(0) .. idx.(n - 1)] of a scratch array the caller owns; the
+    [1] and [2] forms take the indices of a rank-1 or rank-2 access as
+    arguments.  Every form checks and fails as {!read_global},
+    {!write_global}, {!read_local} and {!write_local} do, with the same
+    messages. *)
 
 type global
 (** One global array: its data, dims and base address. *)
 
 val find_global : t -> string -> global option
 
-val global_get : global -> int array -> int -> float
-val global_set : global -> int array -> int -> float -> unit
+val global_load : global -> int array -> int -> float array -> int -> unit
+val global_load1 : global -> int -> float array -> int -> unit
+val global_load2 : global -> int -> int -> float array -> int -> unit
+
+val global_store : global -> int array -> int -> float array -> int -> unit
+val global_store1 : global -> int -> float array -> int -> unit
+val global_store2 : global -> int -> int -> float array -> int -> unit
 (** Bounds-checked like {!read_global}; a phantom array ignores the
     indices. *)
 
@@ -51,11 +64,20 @@ type local
 
 val find_local : t -> string -> local option
 
-val local_get : local -> int array -> int -> float
+val local_load : local -> int array -> int -> float array -> int -> unit
+val local_load1 : local -> int -> float array -> int -> unit
+val local_load2 : local -> int -> int -> float array -> int -> unit
 (** A cell never written reads as [0.0]. *)
 
-val local_set : local -> int array -> int -> float -> unit
-(** @raise Invalid_argument if the buffer was written with another
+val local_store : local -> int array -> int -> float array -> int -> unit
+
+val local_store1 : local -> int array -> int -> float array -> int -> unit
+val local_store2 :
+  local -> int array -> int -> int -> float array -> int -> unit
+(** [local_store1 l idx i src c]: the indices follow the scratch array
+    [idx], which a store outside the window fills before it grows the
+    window through {!local_store}.
+    @raise Invalid_argument if the buffer was written with another
     number of indices before, or its window would pass 2{^24} cells. *)
 
 val flat_index : t -> string -> int array -> int

@@ -225,13 +225,19 @@ let record st labels name v =
   | Some r -> r := merge !r v
   | None -> Hashtbl.add st.d_values key (ref v)
 
+(* the innermost open span of the tree, if any, counts [v] under [name] *)
+let bump_open st name v =
+  let o = st.d_open in
+  if o != st.d_root then o.o_counters <- bump name v o.o_counters
+
 let add ?(labels = []) name v =
   if !enabled_flag then begin
     let st = state () in
     record st labels name (Counter v);
-    let o = st.d_open in
-    if o != st.d_root then o.o_counters <- bump name v o.o_counters
+    bump_open st name v
   end
+
+let span_add name v = if !enabled_flag then bump_open (state ()) name v
 
 let gauge_max ?(labels = []) name v =
   if !enabled_flag then record (state ()) labels name (Gauge v)

@@ -90,6 +90,12 @@ val add : ?labels:labels -> string -> float -> unit
     and to the innermost open span of the tree.  No-op when
     disabled. *)
 
+val span_add : string -> float -> unit
+(** [span_add name v] bumps counter [name] of the innermost open span
+    of the tree only: no value and no frame counter records it, so a
+    fact another value already carries is not counted twice.  No-op
+    when disabled or when no span of the tree is open. *)
+
 val gauge_max : ?labels:labels -> string -> float -> unit
 (** [gauge_max name v] keeps the largest value recorded — e.g. peak
     scratchpad occupancy. *)

@@ -290,8 +290,10 @@ let exec_phase rt st hook i ~memory phase =
     ~bindings phase
 
 (* phase [phase] of block [i] under its timeline span; a DMA span also
-   counts the words the phase staged, once the transfer is done.  With
-   probes off, a direct call that allocates nothing for the span. *)
+   counts the words the phase staged, once the transfer is done, on the
+   span only ([runtime.dma.move_in_words]/[move_out_words] are the
+   registry's names for them).  With probes off, a direct call that
+   allocates nothing for the span. *)
 let run_phase rt st hook i ~memory span phase =
   if not (Prof.enabled ()) then exec_phase rt st hook i ~memory phase
   else begin
@@ -306,8 +308,8 @@ let run_phase rt st hook i ~memory span phase =
     let o = exec_phase rt st hook i ~memory phase in
     let dma = o.Exec.b_dma in
     (match span with
-     | Dma_in -> Prof.add "words" (sum_words dma.Exec.moved_in)
-     | Dma_out -> Prof.add "words" (sum_words dma.Exec.moved_out)
+     | Dma_in -> Prof.span_add "words" (sum_words dma.Exec.moved_in)
+     | Dma_out -> Prof.span_add "words" (sum_words dma.Exec.moved_out)
      | Block | Compute -> ());
     o
   end

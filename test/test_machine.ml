@@ -218,6 +218,176 @@ let test_sampled_launch_repeat () =
   in
   Alcotest.(check (float 0.001)) "100 dynamic launches" 100.0 total_launches
 
+(* --- executor fast paths: each fails as the general path does ------------- *)
+
+(* Loads and stores of rank 1 and 2 pass their indices to [Memory]
+   directly, and unit-coefficient index terms add or subtract a slot
+   directly.  Each case below runs one [Copy] through [Exec.run] and
+   compares its outcome, message included, with the general path:
+   [Memory]'s name-keyed accessors for bounds, ranks and windows, and
+   an index form with a non-unit coefficient for overflow. *)
+
+let fast_prog =
+  Emsc_lang.Parser.parse
+    "array A[4][5];\n\
+     array B[4][5];\n\
+     array C[6];\n\
+     array D[2][3][4];\n\
+     for (i = 0; i <= 0; i++) {\n\
+    \  C[i] = 0;\n\
+     }\n"
+
+(* what a thunk did: its exception, as text, or "ok" *)
+let outcome f =
+  match f () with
+  | _ -> "ok"
+  | exception Invalid_argument m -> "Invalid_argument " ^ m
+  | exception Failure m -> "Failure " ^ m
+
+(* run one copy with the free names bound by [env] *)
+let run_copy ?on_global ?(memory = Memory.create fast_prog ~param_env:no_params)
+    env ~dst ~src () =
+  let param_env name =
+    match List.assoc_opt name env with
+    | Some v -> Emsc_arith.Zint.of_int v
+    | None -> no_params name
+  in
+  Exec.run ~prog:fast_prog ~param_env ~memory ~mode:Exec.Full ?on_global
+    [ Ast.Copy
+        { dst = { Ast.array = fst dst; indices = snd dst };
+          src = { Ast.array = fst src; indices = snd src } } ]
+
+let names = [| "p"; "q"; "r" |]
+
+let at ixs = Array.mapi (fun k i -> (names.(k), i)) ixs
+let by_name ixs = Array.mapi (fun k _ -> v names.(k)) ixs
+let zeros n = Array.make n (i_ 0)
+
+let test_fast_path_bounds_and_rank () =
+  let hook _ _ _ = () in
+  let cases =
+    [ ("A", [| 4; 0 |]); ("A", [| 0; 5 |]); ("A", [| -1; 0 |]);
+      ("A", [| 0; -1 |]); ("A", [| 3; 4 |]); ("C", [| 6 |]); ("C", [| -1 |]);
+      ("C", [| 5 |]); ("D", [| 1; 3; 0 |]); ("D", [| 1; 2; 3 |]);
+      (* rank mismatches, on the rank-1, rank-2 and general paths *)
+      ("A", [| 1 |]); ("C", [| 1; 1 |]); ("A", [| 1; 1; 1 |]);
+      ("D", [| 1; 1 |]) ]
+  in
+  List.iter (fun (arr, ixs) ->
+    let env = Array.to_list (at ixs) and idx = (arr, by_name ixs) in
+    let label what = Printf.sprintf "%s %s[%s]" what arr
+        (String.concat "][" (Array.to_list (Array.map string_of_int ixs))) in
+    let m = Memory.create fast_prog ~param_env:no_params in
+    let load = outcome (fun () -> Memory.read_global m arr ixs)
+    and store = outcome (fun () -> Memory.write_global m arr ixs 1.0) in
+    List.iter (fun on_global ->
+      let hooked = if on_global = None then "" else " (hooked)" in
+      Alcotest.(check string) (label "load" ^ hooked) load
+        (outcome (run_copy ?on_global env ~dst:("B", zeros 2) ~src:idx));
+      Alcotest.(check string) (label "store" ^ hooked) store
+        (outcome (run_copy ?on_global env ~dst:idx ~src:("B", zeros 2))))
+      [ None; Some hook ])
+    cases;
+  (* the failing cases do fail, with the general path's messages *)
+  Alcotest.(check string) "message"
+    "Invalid_argument Memory: A index 5 out of bounds [0,5) at dim 1"
+    (outcome (run_copy [ ("p", 0); ("q", 5) ] ~dst:("B", zeros 2)
+                ~src:("A", [| v "p"; v "q" |])));
+  Alcotest.(check string) "rank message"
+    "Invalid_argument Memory: rank mismatch on C"
+    (outcome (run_copy [ ("p", 0); ("q", 0) ] ~dst:("C", [| v "p"; v "q" |])
+                ~src:("B", zeros 2)))
+
+(* index sums whose value leaves the native int range: the checked
+   sum fails whatever order it adds the terms in *)
+let test_fast_path_overflow () =
+  let open Ast in
+  let p = max_int - 1 in
+  let env =
+    [ ("p", p); ("q", 2); ("r", 0); ("s", 1); ("t", 3); ("h", p / 2);
+      ("n", -p); ("m", min_int); ("hm", min_int / 2) ]
+  in
+  let load e =
+    outcome (run_copy env ~dst:("B", zeros 2) ~src:("C", [| e |]))
+  in
+  let neg e = Mul (Emsc_arith.Zint.minus_one, e) in
+  let overflow = "Failure Exec: integer overflow in index arithmetic" in
+  (* [2 * h] is [p] through a non-unit coefficient *)
+  let p2 = 2 *: v "h" in
+  List.iter (fun (what, unit_form, general_form, expected) ->
+    Alcotest.(check string) (what ^ ": general path") expected
+      (load general_form);
+    Alcotest.(check string) (what ^ ": unit coefficients") expected
+      (load unit_form))
+    [ ("p + 2", v "p" +: i_ 2, p2 +: i_ 2, overflow);
+      ("p + q", v "p" +: v "q", p2 +: v "q", overflow);
+      ("q - n", v "q" -: v "n", v "q" +: p2, overflow);
+      ("-n + q", neg (v "n") +: v "q", p2 +: v "q", overflow);
+      ("p + q + s", v "p" +: v "q" +: v "s", p2 +: v "q" +: v "s", overflow);
+      ("p + q - r + s", v "p" +: v "q" -: v "r" +: v "s",
+       p2 +: v "q" -: v "r" +: v "s", overflow);
+      ("p + q - r + s + t", v "p" +: v "q" -: v "r" +: v "s" +: v "t",
+       p2 +: v "q" -: v "r" +: v "s" +: v "t", overflow);
+      ("q - m", v "q" -: v "m", v "q" -: (2 *: v "m"), overflow);
+      ("-m", neg (v "m"), v "r" -: (2 *: v "m"), overflow);
+      (* [-min_int] overflows, as [-1 * min_int] always did, even where
+         the whole sum would fit *)
+      ("-m - 1", neg (v "m") -: i_ 1, v "r" -: (2 *: v "hm") -: i_ 1,
+       overflow);
+      ( "p - q - p", v "p" -: v "q" -: v "p", p2 -: v "q" -: v "p",
+        "Invalid_argument Memory: C index -2 out of bounds [0,6) at dim 0" );
+      ("n + p + r", v "n" +: v "p" +: v "r", v "n" +: p2 +: v "r", "ok") ]
+
+(* a rank-2 local store outside the window grows it exactly as
+   [Memory.write_local] does, in every direction *)
+let test_fast_path_local_growth () =
+  let cells =
+    [ (5, 5); (7, 5); (2, 5); (5, 9); (5, 1); (-20, 30); (5, 5); (6, 6) ]
+  in
+  let fast = Memory.create fast_prog ~param_env:no_params
+  and general = Memory.create fast_prog ~param_env:no_params in
+  List.iter (fun m ->
+    Memory.declare_local m "L";
+    Memory.declare_local m "M";
+    Memory.write_global m "B" [| 0; 0 |] 2.5)
+    [ fast; general ];
+  List.iteri (fun k (i, j) ->
+    Memory.write_global fast "B" [| 0; 0 |] (float_of_int k);
+    ignore
+      (run_copy ~memory:fast [ ("p", i); ("q", j) ]
+         ~dst:("L", [| v "p"; v "q" |]) ~src:("B", zeros 2) ());
+    ignore
+      (run_copy ~memory:fast [ ("p", i + j) ] ~dst:("M", [| v "p" |])
+         ~src:("B", zeros 2) ());
+    Memory.write_local general "L" [| i; j |] (float_of_int k);
+    Memory.write_local general "M" [| i + j |] (float_of_int k))
+    cells;
+  Alcotest.(check (list (pair string int))) "local_occupancy"
+    (Memory.local_occupancy general) (Memory.local_occupancy fast);
+  Alcotest.(check int) "local_words" (Memory.local_words general)
+    (Memory.local_words fast);
+  for i = -21 to 8 do
+    for j = 0 to 31 do
+      Alcotest.(check (float 0.0)) "L cell"
+        (Memory.read_local general "L" [| i; j |])
+        (Memory.read_local fast "L" [| i; j |])
+    done
+  done;
+  (* a fast load reads what the general path reads, 0 outside the
+     window; a store of the wrong rank fails as the general one does *)
+  List.iter (fun (i, j) ->
+    ignore
+      (run_copy ~memory:fast [ ("p", i); ("q", j) ] ~dst:("B", zeros 2)
+         ~src:("L", [| v "p"; v "q" |]) ());
+    Alcotest.(check (float 0.0)) "L load"
+      (Memory.read_local general "L" [| i; j |])
+      (Memory.read_global fast "B" [| 0; 0 |]))
+    ((100, 100) :: cells);
+  Alcotest.(check string) "rank-1 store to a rank-2 local"
+    (outcome (fun () -> Memory.write_local general "L" [| 1 |] 0.0))
+    (outcome (run_copy ~memory:fast [ ("p", 1) ] ~dst:("L", [| v "p" |])
+                ~src:("B", zeros 2)))
+
 (* --- reference executor ------------------------------------------------------ *)
 
 let test_reference_schedule_order () =
@@ -370,6 +540,12 @@ let () =
           Alcotest.test_case "launch detection" `Quick test_launch_detection;
           Alcotest.test_case "sampled launch repeat" `Quick
             test_sampled_launch_repeat;
+          Alcotest.test_case "fast paths: bounds and rank" `Quick
+            test_fast_path_bounds_and_rank;
+          Alcotest.test_case "fast paths: index overflow" `Quick
+            test_fast_path_overflow;
+          Alcotest.test_case "fast paths: local window growth" `Quick
+            test_fast_path_local_growth;
         ] );
       ( "reference",
         [

@@ -456,6 +456,46 @@ let test_runtime_lowers_once () =
   Alcotest.(check int) "double-buffered phases lower the same nodes" l32
     (fst (lowered ~double_buffer:true 64))
 
+(* minor words the calling domain allocates over one [Seq] [Full]
+   [Exec.run] of [c]'s kernel on a memory built (and its local windows
+   grown) beforehand, and the accesses the run makes *)
+let seq_run_words c =
+  let t = Option.get c.Pipeline.tiled and plan = Option.get c.Pipeline.plan in
+  let prog = t.Pipeline.tiled_prog in
+  let param_env name = Alcotest.failf "unbound parameter %s" name in
+  let memory = Memory.create prog ~param_env in
+  List.iter (fun (b : Plan.buffered) ->
+    Memory.declare_local memory b.Plan.buffer.Alloc.local_name)
+    plan.Plan.buffered;
+  let run () =
+    Exec.run ~prog ~local_ref:(Plan.local_ref plan) ~param_env ~memory
+      ~mode:Exec.Full t.Pipeline.ast
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. w0 in
+  let c = r.Exec.totals in
+  (words, c.Exec.g_ld +. c.Exec.g_st +. c.Exec.s_ld +. c.Exec.s_st)
+
+(* an access allocates nothing: what a run allocates (lowering, the
+   frame) does not grow with the accesses it makes *)
+let test_seq_run_allocation () =
+  List.iter (fun (name, small, large) ->
+    let w1, a1 = seq_run_words (compiled small)
+    and w2, a2 = seq_run_words (compiled large) in
+    Alcotest.(check bool) (name ^ ": more accesses") true (a2 > a1);
+    let per_access = (w2 -. w1) /. (a2 -. a1) in
+    Alcotest.(check bool)
+      (Printf.sprintf
+         "%s: %.0f -> %.0f words over %.0f -> %.0f accesses (%.4f per added \
+          access)"
+         name w1 w2 a1 a2 per_access)
+      true (per_access < 0.01))
+    [ ("matmul", Emsc_kernels.Matmul.job ~n:28 (),
+       Emsc_kernels.Matmul.job ~n:64 ());
+      ("me", Emsc_kernels.Me.job ~ni:24 ~nj:24 (), Emsc_kernels.Me.job ()) ]
+
 (* --- the one schedule ------------------------------------------------------ *)
 
 module Prof = Emsc_obs.Prof
@@ -754,6 +794,44 @@ let test_dma_words_in_both_views () =
   Alcotest.(check (float 0.0)) "frame = sum over channels" in_frames
     (List.fold_left ( +. ) 0.0 per_channel)
 
+(* the staged words of a DMA span are a counter of the span only: the
+   registry carries them in [runtime.dma.move_in_words] and
+   [move_out_words] (which also count the words a block's compute
+   phase stages), not a second time as a bare [words] value *)
+let test_dma_words_on_spans_only () =
+  let module P = Emsc_obs.Prof in
+  let module M = Emsc_obs.Metrics in
+  let c = compiled (Emsc_kernels.Matmul.job ~n:32 ()) in
+  P.reset ();
+  Fun.protect ~finally:(fun () -> P.reset ()) @@ fun () ->
+  let _, roots = P.collect (fun () -> run_par c) in
+  let rec on_spans name acc (n : P.node) =
+    let acc =
+      if n.P.name = name then
+        acc +. Option.value ~default:0.0 (List.assoc_opt "words" n.P.counters)
+      else acc
+    in
+    List.fold_left (on_spans name) acc n.P.children
+  in
+  let spans name = List.fold_left (on_spans name) 0.0 roots in
+  let snap = M.snapshot () in
+  let registry name =
+    List.fold_left (fun acc (s : M.sample) ->
+      match s.M.m_value with
+      | M.Counter v when s.M.m_name = name -> acc +. v
+      | _ -> acc)
+      0.0 snap.M.samples
+  in
+  Alcotest.(check bool) "no bare words value" true
+    (List.for_all (fun (s : M.sample) -> s.M.m_name <> "words") snap.M.samples);
+  List.iter (fun (span, name) ->
+    Alcotest.(check bool) (span ^ " spans carry words") true
+      (spans span > 0.0);
+    Alcotest.(check bool) (span ^ " words within " ^ name) true
+      (spans span <= registry name))
+    [ ("dma-in", "runtime.dma.move_in_words");
+      ("dma-out", "runtime.dma.move_out_words") ]
+
 (* block i of a 4-block launch evaluates a guard [2^61 * i >= 0], whose
    checked arithmetic overflows for i >= 2: a Failure raised inside a
    worker job, on both workers at -j2 *)
@@ -914,7 +992,9 @@ let () =
         [ Alcotest.test_case "once per session" `Quick
             test_lowered_once_per_session;
           Alcotest.test_case "runtime lowers once" `Quick
-            test_runtime_lowers_once ] );
+            test_runtime_lowers_once;
+          Alcotest.test_case "seq run allocates nothing per access" `Quick
+            test_seq_run_allocation ] );
       ( "schedule",
         [ Alcotest.test_case "block i on worker i mod 3" `Quick
             test_static_schedule_places_blocks;
@@ -945,6 +1025,8 @@ let () =
           Alcotest.test_case "concurrent runs" `Quick test_concurrent_runs;
           Alcotest.test_case "dma words in both views" `Quick
             test_dma_words_in_both_views;
+          Alcotest.test_case "dma words on spans only" `Quick
+            test_dma_words_on_spans_only;
           Alcotest.test_case "resident set flat in runs" `Quick
             test_rss_flat_in_runs ] );
       ( "oracle",
