@@ -203,7 +203,7 @@ type ctx = {
   fv : float array;  (* one cell per float expression node *)
   idx : int array;
       (* the indices of the access in flight, for [hook], a local
-         store that grows its window, and accesses of rank 3 or more *)
+         store that grows its window, and accesses of rank other than 2 *)
   bufs : buf array;
   c : counters;
   mode : mode;
@@ -364,15 +364,16 @@ let rec affine_of lw (e : Ast.aexpr) =
    in the order of the sorted terms *)
 let affine_fn (a : affine) : int array -> int =
   let c0 = int_of_const a.const in
+  (* [aff_add] drops zero coefficients and [aff_scale] makes none, so
+     every [c] is nonzero *)
   let term (k, c) =
     let c = int_of_const c in
-    (k, c, if c = 0 then max_int else max_int / abs c)
+    (k, c, max_int / abs c)
   in
   match List.map term (List.sort compare a.terms) with
   | [] -> fun _ -> c0
   | [ (k, 1, _) ] when c0 = 0 -> fun s -> s.(k)
   | [ (k, 1, _) ] -> fun s -> add_ck s.(k) c0
-  | [ (k, -1, _) ] -> fun s -> add_term c0 (-1) 0 s.(k)
   | [ (k, c, l) ] -> fun s -> add_term c0 c l s.(k)
   | [ (k1, c1, l1); (k2, c2, l2) ] ->
     fun s -> add_ck (add_term (add_term 0 c1 l1 s.(k1)) c2 l2 s.(k2)) c0
@@ -443,13 +444,6 @@ let on_global ctx name g n kind =
   | Some f -> f name (Memory.global_address g ctx.idx n) kind
   | None -> ()
 
-let on_global1 ctx name g i0 kind =
-  match ctx.hook with
-  | Some f ->
-    ctx.idx.(0) <- i0;
-    f name (Memory.global_address g ctx.idx 1) kind
-  | None -> ()
-
 let on_global2 ctx name g i0 i1 kind =
   match ctx.hook with
   | Some f ->
@@ -460,24 +454,12 @@ let on_global2 ctx name g i0 i1 kind =
 
 (* One load of an array cell into the float cell [dst].
    [may_be_local]: an [Ast.ref_expr], local when the view declares its
-   name.  Ranks 1 and 2 pass their indices to [Memory] directly. *)
+   name.  Rank 2 passes its indices to [Memory] directly. *)
 let lower_load lw name ~may_be_local fs ~dst : ctx -> unit =
   let b = buf_slot lw name ~may_be_local in
   let n = Array.length fs in
   lw.max_rank <- max lw.max_rank n;
   match fs with
-  | [| f0 |] -> (
-    fun ctx ->
-      let i0 = f0 ctx.slots in
-      match ctx.bufs.(b) with
-      | Local l ->
-        ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
-        Memory.local_load1 l i0 ctx.fv dst
-      | Global g ->
-        ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-        on_global1 ctx name g i0 `Ld;
-        Memory.global_load1 g i0 ctx.fv dst
-      | Missing name -> unknown_global name)
   | [| f0; f1 |] -> (
     fun ctx ->
       let s = ctx.slots in
@@ -511,19 +493,6 @@ let lower_store lw name ~may_be_local fs (src, value) : ctx -> unit =
   let n = Array.length fs in
   lw.max_rank <- max lw.max_rank n;
   match fs with
-  | [| f0 |] -> (
-    fun ctx ->
-      value ctx;
-      let i0 = f0 ctx.slots in
-      match ctx.bufs.(b) with
-      | Local l ->
-        ctx.c.s_st <- ctx.c.s_st +. 1.0;
-        Memory.local_store1 l ctx.idx i0 ctx.fv src
-      | Global g ->
-        ctx.c.g_st <- ctx.c.g_st +. 1.0;
-        on_global1 ctx name g i0 `St;
-        Memory.global_store1 g i0 ctx.fv src
-      | Missing name -> unknown_global name)
   | [| f0; f1 |] -> (
     fun ctx ->
       value ctx;

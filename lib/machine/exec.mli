@@ -88,7 +88,7 @@ val expr_flops : Prog.expr -> int
     arguments), with checked arithmetic: a value outside the native
     [int] range raises [Failure] instead of wrapping.  Each float
     expression node writes its value into a cell of the frame's float
-    array, and an access of rank 1 or 2 hands its indices to {!Memory}
+    array, and an access of rank 2 hands its indices to {!Memory}
     directly, so running the code allocates nothing per access.
     Buffer names are resolved to their storage once per block.  Loads
     a statement makes are issued right operand first, as they always

@@ -96,15 +96,8 @@ let global_offset e idx n =
   done;
   !flat
 
-(* [global_offset] of one and of two indices, checked in the same
-   order with the same messages *)
-let global_offset1 e i =
-  let dims = e.g_dims in
-  if Array.length dims <> 1 then rank_mismatch e;
-  let d0 = dims.(0) in
-  if i < 0 || i >= d0 then out_of_bounds e i d0 0;
-  i
-
+(* [global_offset] of two indices, checked in the same order with the
+   same messages *)
 let global_offset2 e i j =
   let dims = e.g_dims in
   if Array.length dims <> 2 then rank_mismatch e;
@@ -120,10 +113,6 @@ let global_load e idx n dst c =
   if e.phantom then dst.(c) <- e.data.(0)
   else dst.(c) <- e.data.(global_offset e idx n)
 
-let global_load1 e i dst c =
-  if e.phantom then dst.(c) <- e.data.(0)
-  else dst.(c) <- e.data.(global_offset1 e i)
-
 let global_load2 e i j dst c =
   if e.phantom then dst.(c) <- e.data.(0)
   else dst.(c) <- e.data.(global_offset2 e i j)
@@ -131,10 +120,6 @@ let global_load2 e i j dst c =
 let global_store e idx n src c =
   if e.phantom then e.data.(0) <- src.(c)
   else e.data.(global_offset e idx n) <- src.(c)
-
-let global_store1 e i src c =
-  if e.phantom then e.data.(0) <- src.(c)
-  else e.data.(global_offset1 e i) <- src.(c)
 
 let global_store2 e i j src c =
   if e.phantom then e.data.(0) <- src.(c)
@@ -182,14 +167,7 @@ let local_offset l idx n =
     !flat
   end
 
-(* [local_offset] of one and of two indices *)
-let local_offset1 l i =
-  if l.rank <> 1 then -1
-  else begin
-    let lo = l.lo.(0) in
-    if i < lo || i >= l.hi.(0) then -1 else i - lo
-  end
-
+(* [local_offset] of two indices *)
 let local_offset2 l i j =
   if l.rank <> 2 then -1
   else begin
@@ -201,10 +179,6 @@ let local_offset2 l i j =
 (* A cell never written reads as 0.0. *)
 let local_load l idx n dst c =
   let flat = local_offset l idx n in
-  if flat < 0 then dst.(c) <- 0.0 else dst.(c) <- l.cells.(flat)
-
-let local_load1 l i dst c =
-  let flat = local_offset1 l i in
   if flat < 0 then dst.(c) <- 0.0 else dst.(c) <- l.cells.(flat)
 
 let local_load2 l i j dst c =
@@ -296,14 +270,6 @@ let[@inline] set_cell l flat v =
   end;
   l.cells.(flat) <- v
 
-let rec local_set l idx n v =
-  let flat = local_offset l idx n in
-  if flat < 0 then begin
-    grow l idx n;
-    local_set l idx n v
-  end
-  else set_cell l flat v
-
 let rec local_store l idx n src c =
   let flat = local_offset l idx n in
   if flat < 0 then begin
@@ -314,14 +280,6 @@ let rec local_store l idx n src c =
 
 (* outside the window, the general path grows it, from the indices
    written into [idx] *)
-let local_store1 l idx i src c =
-  let flat = local_offset1 l i in
-  if flat < 0 then begin
-    idx.(0) <- i;
-    local_store l idx 1 src c
-  end
-  else set_cell l flat src.(c)
-
 let local_store2 l idx i j src c =
   let flat = local_offset2 l i j in
   if flat < 0 then begin
@@ -337,7 +295,7 @@ let read_local m name idx =
   if flat < 0 then 0.0 else l.cells.(flat)
 
 let write_local m name idx v =
-  local_set (local m name) idx (Array.length idx) v
+  local_store (local m name) idx (Array.length idx) [| v |] 0
 
 let global_data m name = (entry m name).data
 let dims m name = (entry m name).g_dims

@@ -35,8 +35,7 @@ val write_local : t -> string -> int array -> float -> unit
 
     The general forms take the [n] indices of an access as the prefix
     [idx.(0) .. idx.(n - 1)] of a scratch array the caller owns; the
-    [1] and [2] forms take the indices of a rank-1 or rank-2 access as
-    arguments.  Every form checks and fails as {!read_global},
+    [2] forms take the indices of a rank-2 access as arguments.  Every form checks and fails as {!read_global},
     {!write_global}, {!read_local} and {!write_local} do, with the same
     messages. *)
 
@@ -46,11 +45,9 @@ type global
 val find_global : t -> string -> global option
 
 val global_load : global -> int array -> int -> float array -> int -> unit
-val global_load1 : global -> int -> float array -> int -> unit
 val global_load2 : global -> int -> int -> float array -> int -> unit
 
 val global_store : global -> int array -> int -> float array -> int -> unit
-val global_store1 : global -> int -> float array -> int -> unit
 val global_store2 : global -> int -> int -> float array -> int -> unit
 (** Bounds-checked like {!read_global}; a phantom array ignores the
     indices. *)
@@ -65,18 +62,16 @@ type local
 val find_local : t -> string -> local option
 
 val local_load : local -> int array -> int -> float array -> int -> unit
-val local_load1 : local -> int -> float array -> int -> unit
 val local_load2 : local -> int -> int -> float array -> int -> unit
 (** A cell never written reads as [0.0]. *)
 
 val local_store : local -> int array -> int -> float array -> int -> unit
 
-val local_store1 : local -> int array -> int -> float array -> int -> unit
 val local_store2 :
   local -> int array -> int -> int -> float array -> int -> unit
-(** [local_store1 l idx i src c]: the indices follow the scratch array
-    [idx], which a store outside the window fills before it grows the
-    window through {!local_store}.
+(** [local_store2 l idx i j src c]: the indices follow the scratch
+    array [idx], which a store outside the window fills before it grows
+    the window through {!local_store}.
     @raise Invalid_argument if the buffer was written with another
     number of indices before, or its window would pass 2{^24} cells. *)
 

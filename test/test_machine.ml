@@ -220,7 +220,7 @@ let test_sampled_launch_repeat () =
 
 (* --- executor fast paths: each fails as the general path does ------------- *)
 
-(* Loads and stores of rank 1 and 2 pass their indices to [Memory]
+(* Loads and stores of rank 2 pass their indices to [Memory]
    directly, and unit-coefficient index terms add or subtract a slot
    directly.  Each case below runs one [Copy] through [Exec.run] and
    compares its outcome, message included, with the general path:
@@ -269,7 +269,7 @@ let test_fast_path_bounds_and_rank () =
     [ ("A", [| 4; 0 |]); ("A", [| 0; 5 |]); ("A", [| -1; 0 |]);
       ("A", [| 0; -1 |]); ("A", [| 3; 4 |]); ("C", [| 6 |]); ("C", [| -1 |]);
       ("C", [| 5 |]); ("D", [| 1; 3; 0 |]); ("D", [| 1; 2; 3 |]);
-      (* rank mismatches, on the rank-1, rank-2 and general paths *)
+      (* rank mismatches, on the rank-2 and general paths *)
       ("A", [| 1 |]); ("C", [| 1; 1 |]); ("A", [| 1; 1; 1 |]);
       ("D", [| 1; 1 |]) ]
   in
